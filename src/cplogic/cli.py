@@ -19,7 +19,6 @@ from .causation import (
 from .core import Theory, validate_theory
 from .engine import (
     ExecutionTree,
-    TreeNode,
     build_tree,
     distribution,
     prob_formula,
@@ -108,15 +107,20 @@ def cmd_prob(args) -> int:
 
 def _render_tree(tree: ExecutionTree) -> list[str]:
     lines: list[str] = []
-
-    def walk(node: TreeNode, depth: int) -> None:
+    # Pre-order with an explicit stack; a str entry is an edge line,
+    # pushed so that it pops just before the subtree it leads to.
+    stack: list = [(tree.root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, depth = item
         pad = "  " * depth
         lines.append(f"{pad}{_interp_text(node.state.interp)}")
-        for edge in node.edges:
-            lines.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
-            walk(edge.child, depth + 2)
-
-    walk(tree.root, 0)
+        for edge in reversed(node.edges):
+            stack.append((edge.child, depth + 2))
+            stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
     return lines
 
 

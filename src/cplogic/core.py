@@ -8,6 +8,7 @@ construction and safe to share; validation is a pure function.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -48,7 +49,9 @@ class Atom:
                 raise ValueError(f"invalid atom name {name!r}: reserved word")
             atom = object.__new__(cls)
             object.__setattr__(atom, "name", name)
-            cls._interned[name] = atom
+            # setdefault is atomic: threads racing on a new name all get
+            # the instance stored first.
+            atom = cls._interned.setdefault(name, atom)
         return atom
 
     def __setattr__(self, attr, value):
@@ -135,7 +138,7 @@ class CPLaw:
     def head_sum(self) -> Probability:
         return sum((alt.prob for alt in self.head), Fraction(0))
 
-    @property
+    @cached_property
     def no_effect_prob(self) -> Probability:
         return Fraction(1) - self.head_sum
 
@@ -456,9 +459,9 @@ def _path(succ: dict, start: Atom, goal: Atom) -> tuple[Atom, ...]:
     if start is goal:
         return (start,)
     parents = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nxt in sorted(succ.get(node, ()), key=lambda a: a.name):
             if nxt in parents:
                 continue

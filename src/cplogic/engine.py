@@ -53,6 +53,9 @@ class NoEffect:
 
 NO_EFFECT = NoEffect()
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 #: What a fired event realized: a head atom, or nothing visible.
 Outcome = Atom | NoEffect
 
@@ -140,7 +143,7 @@ class ExecutionTree:
 
     def leaves_with_mass(self) -> Iterator[tuple[TreeNode, Probability]]:
         """Leaves paired with the product of edge probabilities to them."""
-        stack = [(self.root, Fraction(1))]
+        stack = [(self.root, _ONE)]
         while stack:
             node, mass = stack.pop()
             if node.is_leaf:
@@ -288,21 +291,43 @@ def build_tree(
     unfired law with the best rank fires. The default is file order.
     Any fixed policy yields the same final-state distribution, so
     probability queries build a single tree.
+
+    A subtree depends only on its root's ``(interp, fired)``, so equal
+    states share one ``TreeNode``: the result is a DAG whose per-path
+    walks (``nodes``, ``leaves_with_mass``) see the full tree. The
+    builder keeps an explicit stack, so depth is not bounded by
+    Python's recursion limit.
     """
     rank = _policy_rank(theory, policy)
-
-    def expand(state: State) -> TreeNode:
-        ready = applicable_laws(theory, state)
-        if not ready:
-            return TreeNode(state, None, ())
-        law = min(ready, key=lambda l: rank[l.label])
-        edges = []
-        for outcome in _outcomes(law):
-            child = expand(fire(theory, state, law, outcome))
-            edges.append(TreeEdge(outcome, outcome_probability(law, outcome), child))
-        return TreeNode(state, law, tuple(edges))
-
-    return ExecutionTree(theory, expand(initial_state(theory, context)))
+    root = initial_state(theory, context)
+    built: dict = {}  # (interp, fired) -> TreeNode
+    # A state is pushed with plan None; once its children are pushed
+    # above it, plan holds the fired law and (outcome, child) pairs.
+    stack: list = [(root, None)]
+    while stack:
+        state, plan = stack[-1]
+        if plan is None:
+            if (state.interp, state.fired) in built:
+                stack.pop()
+                continue
+            ready = applicable_laws(theory, state)
+            if not ready:
+                stack.pop()
+                built[state.interp, state.fired] = TreeNode(state, None, ())
+                continue
+            law = ready[0] if len(ready) == 1 else min(ready, key=lambda l: rank[l.label])
+            children = [(outcome, fire(theory, state, law, outcome)) for outcome in _outcomes(law)]
+            stack[-1] = (state, (law, children))
+            stack.extend((child, None) for _, child in children)
+        else:
+            stack.pop()
+            law, children = plan
+            edges = tuple(
+                TreeEdge(outcome, outcome_probability(law, outcome), built[child.interp, child.fired])
+                for outcome, child in children
+            )
+            built[state.interp, state.fired] = TreeNode(state, law, edges)
+    return ExecutionTree(theory, built[root.interp, root.fired])
 
 
 def enumerate_branches(
@@ -374,7 +399,7 @@ def distribution(tree: ExecutionTree) -> Distribution:
     dist: Distribution = {}
     for leaf, mass in tree.leaves_with_mass():
         interp = leaf.state.interp
-        dist[interp] = dist.get(interp, Fraction(0)) + mass
+        dist[interp] = dist.get(interp, _ZERO) + mass
     return dist
 
 
@@ -395,8 +420,22 @@ def prob_formula(
     if missing:
         names = ", ".join(sorted(a.name for a in missing))
         raise UnknownAtomError(f"formula mentions unknown atoms: {names}")
-    total = Fraction(0)
-    for leaf, mass in build_tree(theory, context).leaves_with_mass():
-        if eval_formula(formula, leaf.state.interp):
-            total += mass
+    # Fold the shared tree level by level: every edge fires one law, so
+    # all paths to a node have the same length and a node's mass is
+    # complete once the level above it is done.
+    root = build_tree(theory, context).root
+    total = _ZERO
+    level = {id(root): (root, _ONE)}
+    while level:
+        below: dict = {}
+        for node, mass in level.values():
+            if not node.edges:
+                if eval_formula(formula, node.state.interp):
+                    total += mass
+                continue
+            for edge in node.edges:
+                share = mass * edge.prob
+                seen = below.get(id(edge.child))
+                below[id(edge.child)] = (edge.child, share if seen is None else seen[1] + share)
+        level = below
     return total

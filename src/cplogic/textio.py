@@ -413,20 +413,25 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
                 text += f" {outcome_probability(law_of(event.label), event.outcome)}"
             lines.append(f'  n{i} -> n{i + 1} [label="{text}"];')
     elif isinstance(tree, ExecutionTree):
+        # Pre-order numbering with an explicit stack. A node's entry
+        # carries the edge into it; that edge's line is pushed as a str
+        # below the node's children, so it follows the whole subtree.
         counter = 0
-
-        def emit(node) -> int:
-            nonlocal counter
+        stack: list = [(tree.root, None)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            node, into = item
             ident = counter
             counter += 1
             lines.append(f'  n{ident} [label="{_interp_label(node.state.interp)}"];')
-            for edge in node.edges:
-                child = emit(edge.child)
-                text = f"{node.law.label}: {edge.outcome} {edge.prob}"
-                lines.append(f'  n{ident} -> n{child} [label="{text}"];')
-            return ident
-
-        emit(tree.root)
+            if into is not None:
+                parent, text = into
+                stack.append(f'  n{parent} -> n{ident} [label="{text}"];')
+            for edge in reversed(node.edges):
+                stack.append((edge.child, (ident, f"{node.law.label}: {edge.outcome} {edge.prob}")))
     else:
         raise TypeError(f"cannot export {type(tree).__name__} as DOT")
     lines.append("}")

@@ -1,5 +1,9 @@
 """Command-line behavior: output, warnings and exit codes."""
 
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
 
 from cplogic import corpus
@@ -111,6 +115,52 @@ class TestTree:
         assert main([
             "tree", files["suzy_billy.cpl"], "--policy", "zz",
         ]) == 2
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to ``frames`` above the current depth."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepChain:
+    """A chain deeper than the recursion limit still evaluates and prints."""
+
+    DEPTH = 300
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        lines = ["exogenous a0."]
+        lines += [f"a{i}:9/10 <- a{i - 1}." for i in range(1, self.DEPTH + 1)]
+        path = tmp_path / "chain.cpl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_prob(self, chain, capsys):
+        with recursion_headroom(100):
+            code = main(["prob", chain, "--query", f"a{self.DEPTH}", "--context", "a0"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"{Fraction(9, 10) ** self.DEPTH} (")
+
+    def test_tree_text_and_dot(self, chain, capsys):
+        with recursion_headroom(100):
+            assert main(["tree", chain, "--context", "a0"]) == 0
+            text = capsys.readouterr().out
+            assert main(["tree", chain, "--context", "a0", "--dot"]) == 0
+            dot = capsys.readouterr().out
+        # Each law fires once, where its body came true, with two outcomes.
+        assert text.count(" -> ") == dot.count(" -> ") == 2 * self.DEPTH
+        assert f"r{self.DEPTH} -> a{self.DEPTH} (9/10)" in text
 
 
 class TestCause:

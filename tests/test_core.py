@@ -1,5 +1,7 @@
 """Core types, validation, formula evaluation and the negation-loop check."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,30 @@ class TestAtom:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Atom("a").name = "b"
+
+    def test_threads_interning_new_names_get_one_instance(self):
+        names = [f"race_{i}" for i in range(2000)]
+        workers = 6
+        barrier = threading.Barrier(workers)
+        got: list = [None] * workers
+
+        def intern(slot):
+            barrier.wait(timeout=10)
+            got[slot] = [Atom(name) for name in names]
+
+        threads = [threading.Thread(target=intern, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for atoms in got:
+            assert all(a is b for a, b in zip(atoms, got[0], strict=True))
 
 
 class TestProbabilityRepresentation:

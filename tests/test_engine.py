@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cplogic import corpus
-from cplogic.core import Atom, FormulaAtom, TRUE
+from cplogic.cli import main
+from cplogic.core import Atom, Conjunction, FormulaAtom, Negation, TRUE, eval_formula
 from cplogic.engine import (
     NO_EFFECT,
     LawStatus,
@@ -26,7 +27,7 @@ from cplogic.errors import (
     NotApplicableError,
     UnknownAtomError,
 )
-from cplogic.textio import load_theory, parse_formula, parse_story
+from cplogic.textio import export_tree_dot, load_theory, parse_formula, parse_story
 
 
 def interp(names: str) -> frozenset:
@@ -297,3 +298,86 @@ class TestDistributionAndProb:
         theory = load_theory("exogenous c.\n")
         wide = frozenset({Atom("c"), Atom("gone")})
         assert prob_formula(theory, interp("c"), FormulaAtom(Atom("gone")), vocabulary=wide) == 0
+
+
+def _throwers(k):
+    text = f"exogenous {', '.join(f't{i}' for i in range(1, k + 1))}.\n"
+    text += "".join(f"shatters:1/2 <- t{i}.\n" for i in range(1, k + 1))
+    return text, interp(" ".join(f"t{i}" for i in range(1, k + 1)))
+
+
+def _render_reference(tree):
+    """The per-path text rendering, written recursively as an oracle."""
+    lines = []
+
+    def walk(node, depth):
+        pad = "  " * depth
+        lines.append(pad + "{" + ", ".join(sorted(a.name for a in node.state.interp)) + "}")
+        for edge in node.edges:
+            lines.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
+            walk(edge.child, depth + 2)
+
+    walk(tree.root, 0)
+    return lines
+
+
+def _dot_reference(tree):
+    """The per-path DOT rendering, written recursively as an oracle."""
+    lines = ["digraph execution_tree {", "  node [shape=box];"]
+    counter = 0
+
+    def emit(node):
+        nonlocal counter
+        ident = counter
+        counter += 1
+        label = "{" + ", ".join(sorted(a.name for a in node.state.interp)) + "}"
+        lines.append(f'  n{ident} [label="{label}"];')
+        for edge in node.edges:
+            child = emit(edge.child)
+            text = f"{node.law.label}: {edge.outcome} {edge.prob}"
+            lines.append(f'  n{ident} -> n{child} [label="{text}"];')
+        return ident
+
+    emit(tree.root)
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestSharedTree:
+    def test_prob_formula_matches_the_per_path_sum_under_every_policy(self):
+        from randgen import all_policies, random_cases
+
+        for theory, context in random_cases(40):
+            atoms = sorted(theory.vocabulary)
+            formulas = [TRUE] + [FormulaAtom(a) for a in atoms]
+            formulas += [
+                Conjunction((FormulaAtom(a), Negation(FormulaAtom(b))))
+                for a, b in zip(atoms, atoms[1:])
+            ]
+            folded = [prob_formula(theory, context, f) for f in formulas]
+            for policy in all_policies(theory):
+                leaves = list(build_tree(theory, context, policy=list(policy)).leaves_with_mass())
+                for formula, value in zip(formulas, folded):
+                    per_path = sum(
+                        (mass for leaf, mass in leaves if eval_formula(formula, leaf.state.interp)),
+                        Fraction(0),
+                    )
+                    assert isinstance(value, Fraction) and value == per_path
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_equal_states_share_one_node_but_walks_stay_per_path(self, k):
+        text, ctx = _throwers(k)
+        tree = build_tree(load_theory(text), ctx)
+        assert len(list(tree.nodes())) == 2 ** (k + 1) - 1
+        assert len({id(node) for node in tree.nodes()}) == 2 * k + 1
+        assert sum(mass for _, mass in tree.leaves_with_mass()) == 1
+        assert len(list(tree.leaves_with_mass())) == 2 ** k
+
+    def test_renderings_of_a_shared_tree_are_per_path(self, tmp_path, capsys):
+        text, ctx = _throwers(3)
+        tree = build_tree(load_theory(text), ctx)
+        assert export_tree_dot(tree) == _dot_reference(tree)
+        path = tmp_path / "throwers.cpl"
+        path.write_text(text, encoding="utf-8")
+        assert main(["tree", str(path), "--context", "t1,t2,t3"]) == 0
+        shown = capsys.readouterr().out.split("distribution over final states:")[0]
+        assert shown.splitlines() == _render_reference(tree)
