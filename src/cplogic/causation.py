@@ -31,6 +31,7 @@ from .core import (
     Literal,
     Probability,
     Theory,
+    check_known,
     literal_formula,
 )
 from .engine import (
@@ -47,7 +48,6 @@ from .errors import (
     ExogenousForcedError,
     PreconditionNotInFinalStateError,
     SelfCauseQueryError,
-    UnknownAtomError,
 )
 
 
@@ -113,9 +113,9 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
     """
     realized: dict[str, object] = {}
     for event in branch.events:
-        if event.label not in theory.labels:
+        law = theory._by_label.get(event.label)
+        if law is None:
             continue
-        law = theory.law(event.label)
         if event.label in realized:
             raise BranchTheoryMismatchError(
                 f"law {event.label} fires twice in the branch"
@@ -185,15 +185,22 @@ def _require_holds(lits: Iterable[Literal], interp: AbstractSet[Atom]) -> None:
             )
 
 
-def _counterfactual_setup(
-    theory: Theory, fixed: Theory, initial: frozenset, cause: Literal
-) -> tuple[Theory, frozenset]:
-    """Prevent (or force) the cause and adjust the initial context."""
+def _counterfactual(
+    theory: Theory, fixed: Theory, branch: Branch, cause: Literal, effect: Literal
+) -> tuple[Theory, frozenset, Probability]:
+    """Prevent (or force) the cause in the story-fixed theory, adjust the
+    initial context, and return both with the effect's probability there."""
+    context = branch.states[0].interp
     if cause.positive:
-        return prevent(fixed, cause.atom), initial - {cause.atom}
-    if cause.atom in theory.exogenous:
-        return fixed, initial | {cause.atom}
-    return force(fixed, cause.atom), initial
+        twisted, context = prevent(fixed, cause.atom), context - {cause.atom}
+    elif cause.atom in theory.exogenous:
+        twisted, context = fixed, context | {cause.atom}
+    else:
+        twisted = force(fixed, cause.atom)
+    prob = prob_formula(
+        twisted, context, literal_formula(effect), vocabulary=theory.vocabulary
+    )
+    return twisted, context, prob
 
 
 def counterfactual_dependency(
@@ -206,13 +213,7 @@ def counterfactual_dependency(
     redundant mechanism would have produced the effect anyway.
     """
     _require_holds((cause, effect), branch.final_state.interp)
-    fixed = fix_story(theory, branch)
-    twisted, context = _counterfactual_setup(
-        theory, fixed, branch.states[0].interp, cause
-    )
-    prob = prob_formula(
-        twisted, context, literal_formula(effect), vocabulary=theory.vocabulary
-    )
+    _, _, prob = _counterfactual(theory, fix_story(theory, branch), branch, cause, effect)
     return prob == 0
 
 
@@ -264,15 +265,8 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     _require_holds((query.cause, query.effect), branch.final_state.interp)
     j = effect_index(branch, query.effect)
     relevant = relevant_theory(theory, branch, query.effect)
-    fixed = fix_story(relevant, branch)
-    counterfactual, context = _counterfactual_setup(
-        theory, fixed, branch.states[0].interp, query.cause
-    )
-    prob = prob_formula(
-        counterfactual,
-        context,
-        literal_formula(query.effect),
-        vocabulary=theory.vocabulary,
+    counterfactual, context, prob = _counterfactual(
+        theory, fix_story(relevant, branch), branch, query.cause, query.effect
     )
     return Verdict(prob == 0, j, relevant, counterfactual, context, prob)
 
@@ -304,10 +298,7 @@ def classify_causes(
     one does.
     """
     final_interp = frozenset(final_interp)
-    unknown = final_interp - theory.vocabulary
-    if unknown:
-        names = ", ".join(sorted(a.name for a in unknown))
-        raise UnknownAtomError(f"final state mentions unknown atoms: {names}")
+    check_known(final_interp, theory.vocabulary, "final state")
     if not effect.holds_in(final_interp):
         raise PreconditionNotInFinalStateError(
             f"{effect} does not hold in the observed final state"

@@ -32,7 +32,9 @@ from .errors import (
 )
 from .textio import (
     export_tree_dot,
+    format_interp,
     format_law,
+    load_theory,
     parse_context,
     parse_formula,
     parse_literal,
@@ -47,10 +49,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_theory(path: str) -> Theory:
-    return validate_theory(parse_theory(_read(path)).theory)
-
-
 def _decimal(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -59,10 +57,6 @@ def _decimal(value: Fraction) -> str:
 
 def _prob_text(value: Fraction) -> str:
     return f"{value} ({_decimal(value)})"
-
-
-def _interp_text(interp) -> str:
-    return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
 
 
 def _warn_symbolic(theory: Theory) -> None:
@@ -74,17 +68,21 @@ def _warn_symbolic(theory: Theory) -> None:
         )
 
 
+def _print_issues(err: ValidationError, law_lines: tuple[int, ...] = ()) -> None:
+    for issue in err.issues:
+        where = ""
+        if issue.law_index is not None and issue.law_index < len(law_lines):
+            where = f" (line {law_lines[issue.law_index]})"
+        print(f"error[{issue.code}]{where}: {issue.message}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     text = _read(args.theory)
     doc = parse_theory(text)
     try:
         theory = validate_theory(doc.theory)
     except ValidationError as err:
-        for issue in err.issues:
-            where = ""
-            if issue.law_index is not None and issue.law_index < len(doc.law_lines):
-                where = f" (line {doc.law_lines[issue.law_index]})"
-            print(f"error[{issue.code}]{where}: {issue.message}", file=sys.stderr)
+        _print_issues(err, doc.law_lines)
         return 2
     width = max([len("label")] + [len(law.label) for law in theory.laws])
     print(f"{'label'.ljust(width)}  law")
@@ -97,7 +95,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     formula = parse_formula(args.query)
     context = parse_context(args.context)
     _warn_symbolic(theory)
@@ -117,7 +115,7 @@ def _render_tree(tree: ExecutionTree) -> list[str]:
             continue
         node, depth = item
         pad = "  " * depth
-        lines.append(f"{pad}{_interp_text(node.state.interp)}")
+        lines.append(f"{pad}{format_interp(node.state.interp)}")
         for edge in reversed(node.edges):
             stack.append((edge.child, depth + 2))
             stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
@@ -125,7 +123,7 @@ def _render_tree(tree: ExecutionTree) -> list[str]:
 
 
 def cmd_tree(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     context = parse_context(args.context)
     policy = args.policy.split(",") if args.policy else None
     tree = build_tree(theory, context, policy=policy)
@@ -137,13 +135,13 @@ def cmd_tree(args) -> int:
         print(line)
     print("distribution over final states:")
     dist = distribution(tree)
-    for interp in sorted(dist, key=lambda s: (-dist[s], _interp_text(s))):
-        print(f"  {_interp_text(interp)}: {_prob_text(dist[interp])}")
+    for interp in sorted(dist, key=lambda s: (-dist[s], format_interp(s))):
+        print(f"  {format_interp(interp)}: {_prob_text(dist[interp])}")
     return 0
 
 
 def cmd_cause(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     story = parse_story(_read(args.story), theory)
     branch = replay_story(theory, story)
     query = CauseQuery(parse_literal(args.cause), parse_literal(args.effect))
@@ -160,7 +158,7 @@ def cmd_cause(args) -> int:
         print("counterfactual theory (story fixed, cause prevented):")
         for line in serialize_theory(verdict.counterfactual).splitlines():
             print(f"  {line}")
-        print(f"counterfactual context: {_interp_text(verdict.context)}")
+        print(f"counterfactual context: {format_interp(verdict.context)}")
         print("counterfactual tree:")
         cf_tree = build_tree(verdict.counterfactual, verdict.context)
         for line in _render_tree(cf_tree):
@@ -169,7 +167,7 @@ def cmd_cause(args) -> int:
 
 
 def cmd_causes(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     outcome = parse_context(args.outcome)
     effect = parse_literal(args.effect)
     context = parse_context(args.context) if args.context is not None else None
@@ -249,8 +247,7 @@ def main(argv=None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
     except ValidationError as err:
-        for issue in err.issues:
-            print(f"error[{issue.code}]: {issue.message}", file=sys.stderr)
+        _print_issues(err)
         return 2
     except SemanticError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -261,11 +261,16 @@ def eval_formula(
     UnknownAtomError instead of silently evaluating to false.
     """
     if vocabulary is not None:
-        missing = formula_atoms(formula) - vocabulary
-        if missing:
-            names = ", ".join(sorted(a.name for a in missing))
-            raise UnknownAtomError(f"formula mentions unknown atoms: {names}")
+        check_known(formula_atoms(formula), vocabulary, "formula")
     return _eval(formula, interp)
+
+
+def check_known(atoms: AbstractSet[Atom], vocabulary: AbstractSet[Atom], what: str) -> None:
+    """Raise UnknownAtomError naming the atoms outside the vocabulary."""
+    missing = atoms - vocabulary
+    if missing:
+        names = ", ".join(sorted(a.name for a in missing))
+        raise UnknownAtomError(f"{what} mentions unknown atoms: {names}")
 
 
 def _eval(formula: Formula, interp: AbstractSet[Atom]) -> bool:

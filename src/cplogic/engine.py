@@ -22,6 +22,7 @@ from .core import (
     Formula,
     Probability,
     Theory,
+    check_known,
     eval_formula,
     formula_atoms,
 )
@@ -30,28 +31,24 @@ from .errors import (
     InvalidOutcomeError,
     NonExogenousInContextError,
     NotApplicableError,
-    UnknownAtomError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .textio import StoryDocument
 
 
-class NoEffect:
+class NoEffect(enum.Enum):
     """Sentinel outcome for an event that fires without visible effect."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    NO_EFFECT = "none"
 
     def __repr__(self) -> str:
         return "none"
 
+    __str__ = __repr__
 
-NO_EFFECT = NoEffect()
+
+NO_EFFECT = NoEffect.NO_EFFECT
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -263,20 +260,19 @@ def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> dict:
     return rank
 
 
-def _outcomes(law: CPLaw) -> list:
-    out: list = [alt.atom for alt in law.head]
+def _outcomes(law: CPLaw) -> list[tuple[Outcome, Probability]]:
+    """Every possible outcome of the law's event with its probability."""
+    out = [(alt.atom, alt.prob) for alt in law.head]
     if law.no_effect_prob > 0:
-        out.append(NO_EFFECT)
+        out.append((NO_EFFECT, law.no_effect_prob))
     return out
 
 
 def outcome_probability(law: CPLaw, outcome) -> Probability:
     """Probability of one realized outcome of the law's event."""
-    if outcome is NO_EFFECT:
-        return law.no_effect_prob
-    for alt in law.head:
-        if alt.atom is outcome:
-            return alt.prob
+    for candidate, prob in _outcomes(law):
+        if candidate is outcome:
+            return prob
     raise InvalidOutcomeError(f"{outcome} is not an outcome of law {law.label}")
 
 
@@ -316,15 +312,15 @@ def build_tree(
                 built[state.interp, state.fired] = TreeNode(state, None, ())
                 continue
             law = ready[0] if len(ready) == 1 else min(ready, key=lambda l: rank[l.label])
-            children = [(outcome, fire(theory, state, law, outcome)) for outcome in _outcomes(law)]
+            children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in _outcomes(law)]
             stack[-1] = (state, (law, children))
-            stack.extend((child, None) for _, child in children)
+            stack.extend((child, None) for _, _, child in children)
         else:
             stack.pop()
             law, children = plan
             edges = tuple(
-                TreeEdge(outcome, outcome_probability(law, outcome), built[child.interp, child.fired])
-                for outcome, child in children
+                TreeEdge(outcome, prob, built[child.interp, child.fired])
+                for outcome, prob, child in children
             )
             built[state.interp, state.fired] = TreeNode(state, law, edges)
     return ExecutionTree(theory, built[root.interp, root.fired])
@@ -344,33 +340,35 @@ def enumerate_branches(
     """
     if target is not None:
         target = frozenset(target)
-        missing = target - theory.vocabulary
-        if missing:
-            names = ", ".join(sorted(a.name for a in missing))
-            raise UnknownAtomError(f"target mentions unknown atoms: {names}")
-
-    states: list[State] = [initial_state(theory, context)]
-    events: list[Event] = []
+        check_known(target, theory.vocabulary, "target")
+    root = initial_state(theory, context)
 
     def walk() -> Iterator[Branch]:
-        state = states[-1]
-        if target is not None:
-            if not state.interp <= target:
-                return
-            if not target - state.interp <= state.over:
-                return
-        ready = applicable_laws(theory, state)
-        if not ready:
-            if target is None or state.interp == target:
-                yield Branch(tuple(states), tuple(events))
-            return
-        for law in ready:
-            for outcome in _outcomes(law):
-                states.append(fire(theory, state, law, outcome))
-                events.append(Event(law.label, outcome))
-                yield from walk()
+        # Explicit stack, so depth is not bounded by Python's recursion
+        # limit: moves[i] holds the untried (law, outcome) steps out of
+        # states[i], and events[i] leads from states[i] to states[i + 1].
+        states = [root]
+        events: list[Event] = []
+        moves: list = []
+        while True:
+            state = states[-1]
+            steps: list = []
+            if target is None or (state.interp <= target and target - state.interp <= state.over):
+                ready = applicable_laws(theory, state)
+                if ready:
+                    steps = [(law, outcome) for law in ready for outcome, _ in _outcomes(law)]
+                elif target is None or state.interp == target:
+                    yield Branch(tuple(states), tuple(events))
+            moves.append(iter(steps))
+            while (step := next(moves[-1], None)) is None:
+                moves.pop()
+                if not moves:
+                    return
                 states.pop()
                 events.pop()
+            law, outcome = step
+            states.append(fire(theory, states[-1], law, outcome))
+            events.append(Event(law.label, outcome))
 
     return walk()
 
@@ -416,10 +414,7 @@ def prob_formula(
     atoms whose causing laws were removed stay queryable.
     """
     vocab = theory.vocabulary if vocabulary is None else vocabulary
-    missing = formula_atoms(formula) - vocab
-    if missing:
-        names = ", ".join(sorted(a.name for a in missing))
-        raise UnknownAtomError(f"formula mentions unknown atoms: {names}")
+    check_known(formula_atoms(formula), vocab, "formula")
     # Fold the shared tree level by level: every edge fires one law, so
     # all paths to a node have the same length and a node's mass is
     # complete once the level above it is done.

@@ -126,6 +126,13 @@ class _Scanner:
             self.pos = start
             raise self.error(str(exc)) from None
 
+    def atoms(self) -> frozenset:
+        """A comma-separated list of one or more atoms."""
+        atoms = {self.atom()}
+        while self.try_symbol(","):
+            atoms.add(self.atom())
+        return frozenset(atoms)
+
     def probability(self) -> tuple[Probability, bool]:
         if self.try_symbol("*"):
             return Fraction(1, 2), True
@@ -172,9 +179,7 @@ def parse_theory(text: str) -> TheoryDocument:
             continue
         sc = _Scanner(content, line_no)
         if sc.try_keyword("exogenous"):
-            exogenous.add(sc.atom())
-            while sc.try_symbol(","):
-                exogenous.add(sc.atom())
+            exogenous.update(sc.atoms())
             sc.expect_symbol(".")
         else:
             laws.append(_parse_law(sc))
@@ -251,13 +256,10 @@ def parse_story(text: str, theory: Theory) -> StoryDocument:
         if context is None:
             if not sc.try_keyword("context"):
                 raise sc.error("a story must start with a 'context' line")
-            atoms: set[Atom] = set()
+            context = frozenset()
             if not sc.try_symbol("."):
-                atoms.add(sc.atom())
-                while sc.try_symbol(","):
-                    atoms.add(sc.atom())
+                context = sc.atoms()
                 sc.expect_symbol(".")
-            context = frozenset(atoms)
         else:
             steps.append(_parse_step(sc, theory, line_no))
         if not sc.at_end():
@@ -271,9 +273,10 @@ def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
     sc.try_symbol("@")
     label = sc.ident("law label")
     sc.expect_symbol("->")
-    if label not in theory.labels:
-        raise UnknownLabelError(f"unknown law label {label!r} (line {line_no})")
-    law = theory.law(label)
+    try:
+        law = theory.law(label)
+    except UnknownLabelError:
+        raise UnknownLabelError(f"unknown law label {label!r} (line {line_no})") from None
     if sc.try_keyword("none"):
         if law.no_effect_prob <= 0:
             raise NoEffectNotAllowedError(
@@ -295,35 +298,43 @@ def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
 # Formulas, contexts, literals
 
 
+#: Deepest nesting of parentheses and negations a formula may use. The
+#: parser and the evaluator recurse at every level, so the cap keeps any
+#: accepted formula far inside Python's recursion limit.
+MAX_FORMULA_NESTING = 100
+
+
 def parse_formula(text: str) -> Formula:
     sc = _Scanner(text)
     if sc.at_end():
         raise ParseError("empty formula", 1, 1)
-    formula = _parse_disjunction(sc)
+    formula = _parse_disjunction(sc, 0)
     if not sc.at_end():
         raise sc.error("unexpected trailing input")
     return formula
 
 
-def _parse_disjunction(sc: _Scanner) -> Formula:
-    parts = [_parse_conjunction(sc)]
+def _parse_disjunction(sc: _Scanner, depth: int) -> Formula:
+    parts = [_parse_conjunction(sc, depth)]
     while sc.try_symbol("|"):
-        parts.append(_parse_conjunction(sc))
+        parts.append(_parse_conjunction(sc, depth))
     return parts[0] if len(parts) == 1 else Disjunction(tuple(parts))
 
 
-def _parse_conjunction(sc: _Scanner) -> Formula:
-    parts = [_parse_unary(sc)]
+def _parse_conjunction(sc: _Scanner, depth: int) -> Formula:
+    parts = [_parse_unary(sc, depth)]
     while sc.try_symbol("&"):
-        parts.append(_parse_unary(sc))
+        parts.append(_parse_unary(sc, depth))
     return parts[0] if len(parts) == 1 else Conjunction(tuple(parts))
 
 
-def _parse_unary(sc: _Scanner) -> Formula:
+def _parse_unary(sc: _Scanner, depth: int) -> Formula:
+    if depth > MAX_FORMULA_NESTING:
+        raise sc.error("formula nested too deeply")
     if sc.try_symbol("!") or sc.try_symbol("~"):
-        return Negation(_parse_unary(sc))
+        return Negation(_parse_unary(sc, depth + 1))
     if sc.try_symbol("("):
-        inner = _parse_disjunction(sc)
+        inner = _parse_disjunction(sc, depth + 1)
         sc.expect_symbol(")")
         return inner
     if sc.try_keyword("true"):
@@ -336,15 +347,12 @@ def _parse_unary(sc: _Scanner) -> Formula:
 def parse_context(text: str) -> frozenset:
     """Comma-separated atom list; the empty string is the empty context."""
     sc = _Scanner(text)
-    atoms: set[Atom] = set()
     if sc.at_end():
         return frozenset()
-    atoms.add(sc.atom())
-    while sc.try_symbol(","):
-        atoms.add(sc.atom())
+    atoms = sc.atoms()
     if not sc.at_end():
         raise sc.error("unexpected trailing input")
-    return frozenset(atoms)
+    return atoms
 
 
 def parse_literal(text: str) -> Literal:
@@ -367,6 +375,11 @@ def _format_prob(alt: HeadAlternative) -> str:
     if alt.prob == 1:
         return alt.atom.name
     return f"{alt.atom.name}:{alt.prob}"
+
+
+def format_interp(interp: AbstractSet[Atom]) -> str:
+    """An interpretation as ``{a, b}``, atoms sorted by name."""
+    return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
 
 
 def format_law(law: CPLaw, include_label: bool = True) -> str:
@@ -392,10 +405,6 @@ def serialize_theory(theory: Theory) -> str:
 # DOT export
 
 
-def _interp_label(interp: AbstractSet[Atom]) -> str:
-    return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
-
-
 def export_tree_dot(tree, theory: Theory | None = None) -> str:
     """Render an execution tree, or a replayed branch, as a DOT digraph.
 
@@ -406,7 +415,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
     if isinstance(tree, Branch):
         law_of = theory.law if theory is not None else None
         for i, state in enumerate(tree.states):
-            lines.append(f'  n{i} [label="{_interp_label(state.interp)}"];')
+            lines.append(f'  n{i} [label="{format_interp(state.interp)}"];')
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
@@ -426,7 +435,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
             node, into = item
             ident = counter
             counter += 1
-            lines.append(f'  n{ident} [label="{_interp_label(node.state.interp)}"];')
+            lines.append(f'  n{ident} [label="{format_interp(node.state.interp)}"];')
             if into is not None:
                 parent, text = into
                 stack.append(f'  n{parent} -> n{ident} [label="{text}"];')

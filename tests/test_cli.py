@@ -77,6 +77,13 @@ class TestProb:
     def test_unknown_atom_exits_2(self, files):
         assert main(["prob", files["suzy_billy.cpl"], "--query", "zz_missing"]) == 2
 
+    @pytest.mark.parametrize(
+        "query", ["!" * 3000 + "shatters", "(" * 400 + "shatters" + ")" * 400], ids=["bangs", "parens"]
+    )
+    def test_deeply_nested_query_is_a_parse_error(self, files, capsys, query):
+        assert main(["prob", files["suzy_billy.cpl"], "--query", query]) == 1
+        assert capsys.readouterr().err.startswith("parse error: formula nested too deeply (line 1, ")
+
 
 class TestTree:
     def test_policies_change_shape_not_distribution(self, files, capsys):
@@ -161,6 +168,16 @@ class TestDeepChain:
         # Each law fires once, where its body came true, with two outcomes.
         assert text.count(" -> ") == dot.count(" -> ") == 2 * self.DEPTH
         assert f"r{self.DEPTH} -> a{self.DEPTH} (9/10)" in text
+
+    def test_causes(self, chain, capsys):
+        outcome = ",".join(f"a{i}" for i in range(self.DEPTH + 1))
+        with recursion_headroom(100):
+            code = main([
+                "causes", chain, "--outcome", outcome,
+                "--effect", f"a{self.DEPTH}", "--candidates", "a0",
+            ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["a0", "certain", "1/1"]
 
 
 class TestCause:

@@ -1,5 +1,7 @@
 """Execution semantics: states, overestimate, trees, branches, probabilities."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,10 @@ from cplogic.cli import main
 from cplogic.core import Atom, Conjunction, FormulaAtom, Negation, TRUE, eval_formula
 from cplogic.engine import (
     NO_EFFECT,
+    Branch,
+    Event,
     LawStatus,
+    applicable_laws,
     build_tree,
     distribution,
     enumerate_branches,
@@ -242,6 +247,66 @@ class TestEnumerateBranches:
                 assert after.over <= before.over
             for state in branch.states:
                 assert state.interp <= state.over
+
+
+def _reference_branches(theory, context, target=None):
+    """The recursive depth-first walk that enumerate_branches replaced."""
+    states = [initial_state(theory, context)]
+    events = []
+
+    def walk():
+        state = states[-1]
+        if target is not None:
+            if not state.interp <= target or not target - state.interp <= state.over:
+                return
+        ready = applicable_laws(theory, state)
+        if not ready:
+            if target is None or state.interp == target:
+                yield Branch(tuple(states), tuple(events))
+            return
+        for law in ready:
+            outcomes = [alt.atom for alt in law.head]
+            if law.no_effect_prob > 0:
+                outcomes.append(NO_EFFECT)
+            for outcome in outcomes:
+                states.append(fire(theory, state, law, outcome))
+                events.append(Event(law.label, outcome))
+                yield from walk()
+                states.pop()
+                events.pop()
+
+    return walk()
+
+
+class TestBranchWalker:
+    def test_same_branches_in_the_same_order_as_the_recursive_walk(self):
+        from randgen import random_cases
+
+        for theory, context in random_cases(60):
+            every = list(enumerate_branches(theory, context))
+            assert every == list(_reference_branches(theory, context))
+            for final in {branch.final_state.interp for branch in every}:
+                targeted = list(enumerate_branches(theory, context, final))
+                assert targeted and targeted == list(_reference_branches(theory, context, final))
+
+    def test_arguments_are_checked_at_the_call(self, suzy):
+        with pytest.raises(UnknownAtomError):
+            enumerate_branches(suzy, frozenset(), interp("zz_unknown"))
+        with pytest.raises(NonExogenousInContextError):
+            enumerate_branches(suzy, interp("shatters"))
+
+
+class TestNoEffect:
+    def test_identity_survives_pickle_and_deepcopy(self, suzy):
+        branch = next(
+            b for b in enumerate_branches(suzy, interp("throws_suzy"))
+            if b.events[-1].outcome is NO_EFFECT
+        )
+        for clone in (pickle.loads(pickle.dumps(branch)), copy.deepcopy(branch)):
+            assert clone == branch
+            assert clone.events[-1].outcome is NO_EFFECT
+        assert str(Event("r1", NO_EFFECT)) == "r1 -> none"
+        assert repr(NO_EFFECT) == "none"
 
 
 class TestReplayStory:

@@ -22,6 +22,7 @@ from cplogic.errors import (
     UnknownLabelError,
 )
 from cplogic.textio import (
+    MAX_FORMULA_NESTING,
     export_tree_dot,
     load_theory,
     parse_context,
@@ -184,6 +185,23 @@ class TestFormulasAndContexts:
     def test_trailing_junk_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("a b")
+
+    def test_nesting_up_to_the_cap_parses(self):
+        deep = MAX_FORMULA_NESTING
+        assert parse_formula("(" * deep + "a" + ")" * deep) == FormulaAtom(Atom("a"))
+        f = parse_formula("!" * deep + "a")
+        for _ in range(deep):
+            f = f.operand
+        assert f == FormulaAtom(Atom("a"))
+
+    @pytest.mark.parametrize("text", [
+        "!" * 3000 + "a",
+        "(" * 400 + "a" + ")" * 400,
+        "(!" * (MAX_FORMULA_NESTING // 2 + 1) + "a" + ")" * (MAX_FORMULA_NESTING // 2 + 1),
+    ], ids=["bangs", "parens", "mixed"])
+    def test_nesting_past_the_cap_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse_formula(text)
 
     def test_context_parsing(self):
         assert parse_context("") == frozenset()
