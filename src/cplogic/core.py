@@ -11,8 +11,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .errors import UnknownAtomError, UnknownLabelError, ValidationError
 
@@ -20,6 +19,33 @@ from .errors import UnknownAtomError, UnknownLabelError, ValidationError
 # terms with a positive denominator, which the engine's exact zero tests
 # depend on; no floats appear anywhere in the semantics.
 Probability = Fraction
+
+
+class compute_once:
+    """A read-only attribute computed on first access and then stored.
+
+    Like ``functools.cached_property`` without its lock (which Python
+    3.11 takes on every first access): the value is a pure function of
+    an immutable object, so threads that race on a fresh object each
+    compute an equal value and the last store wins.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        # A non-data descriptor: once stored, the instance attribute
+        # shadows it. Writing __dict__ directly also works on frozen
+        # dataclasses.
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -130,28 +156,40 @@ class CPLaw:
         if not self.head:
             raise ValueError("a law needs at least one head alternative")
 
-    @cached_property
+    @compute_once
     def head_atoms(self) -> frozenset[Atom]:
         return frozenset(alt.atom for alt in self.head)
 
-    @cached_property
+    @compute_once
     def head_sum(self) -> Probability:
         return sum((alt.prob for alt in self.head), Fraction(0))
 
-    @cached_property
+    @compute_once
     def no_effect_prob(self) -> Probability:
         return Fraction(1) - self.head_sum
 
-    @cached_property
+    @compute_once
     def positive_body(self) -> frozenset[Atom]:
         return frozenset(lit.atom for lit in self.body if lit.positive)
 
-    @cached_property
+    @compute_once
     def negative_body(self) -> frozenset[Atom]:
         return frozenset(lit.atom for lit in self.body if not lit.positive)
 
     def with_label(self, label: str) -> "CPLaw":
         return replace(self, label=label)
+
+
+class BodyIndex(NamedTuple):
+    """Atom -> positions in ``Theory.laws`` of the laws that use it.
+
+    ``positive`` lists the laws with the atom in their positive body,
+    ``negative`` those with it negated, in ascending order. Atoms no
+    body mentions have no entry. The lists are shared: read them only.
+    """
+
+    positive: dict
+    negative: dict
 
 
 @dataclass(frozen=True)
@@ -161,7 +199,7 @@ class Theory:
     laws: tuple[CPLaw, ...] = ()
     exogenous: frozenset[Atom] = frozenset()
 
-    @cached_property
+    @compute_once
     def vocabulary(self) -> frozenset[Atom]:
         atoms = set(self.exogenous)
         for law in self.laws:
@@ -169,15 +207,15 @@ class Theory:
             atoms.update(lit.atom for lit in law.body)
         return frozenset(atoms)
 
-    @cached_property
+    @compute_once
     def endogenous(self) -> frozenset[Atom]:
         return self.vocabulary - self.exogenous
 
-    @cached_property
+    @compute_once
     def labels(self) -> tuple[str, ...]:
         return tuple(law.label for law in self.laws if law.label is not None)
 
-    @cached_property
+    @compute_once
     def _by_label(self) -> dict:
         return {law.label: law for law in self.laws if law.label is not None}
 
@@ -187,7 +225,19 @@ class Theory:
         except KeyError:
             raise UnknownLabelError(f"unknown law label {label!r}") from None
 
-    @cached_property
+    @compute_once
+    def body_index(self) -> "BodyIndex":
+        """Which laws mention each atom in their body, by law position."""
+        positive: dict = {}
+        negative: dict = {}
+        for i, law in enumerate(self.laws):
+            for atom in law.positive_body:
+                positive.setdefault(atom, []).append(i)
+            for atom in law.negative_body:
+                negative.setdefault(atom, []).append(i)
+        return BodyIndex(positive, negative)
+
+    @compute_once
     def has_symbolic_probabilities(self) -> bool:
         return any(alt.symbolic for law in self.laws for alt in law.head)
 

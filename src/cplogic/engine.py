@@ -7,6 +7,16 @@ in a state only once ``a`` has dropped out of the overestimate, meaning
 it can never become true anymore. Trees, branch enumeration, story
 replay and probability queries all build on those states; probabilities
 are exact rationals throughout.
+
+Successor states are incremental. ``fire`` keeps the parent's
+overestimate unless the step removed the only support of some atom,
+and only then runs the full fixpoint. The tree builder and the branch
+walker carry each state's applicable laws down their stacks and, after
+a step, recheck only the laws that the theory's ``body_index`` ties to
+the new atom or to atoms that left the overestimate. ``overestimate``
+and ``applicable_laws`` compute from scratch; they are the reference
+the incremental steps are tested against, and the walkers call them
+only at the root.
 """
 
 from __future__ import annotations
@@ -228,15 +238,31 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
             raise InvalidOutcomeError(
                 f"law {law.label} has no residual probability for a no-effect firing"
             )
-        interp = state.interp
+        new = None
     else:
         if not isinstance(outcome, Atom) or outcome not in law.head_atoms:
             raise InvalidOutcomeError(
                 f"{outcome} is not a head atom of law {law.label}"
             )
-        interp = state.interp | {outcome}
+        new = None if outcome in state.interp else outcome
+    interp = state.interp if new is None else state.interp | {new}
     fired = state.fired | {law.label}
-    return State(interp, fired, overestimate(theory, interp, fired))
+    # The step drops from the fixpoint's candidates the fired law and the
+    # unfired laws the new atom blocks. Only atoms whose support ran
+    # through a dropped law can leave the overestimate, so if every
+    # dropped law that could contribute (positive body in the parent's
+    # overestimate) has all its head atoms true, it stays as it is.
+    negated_in = theory.body_index.negative
+    kept = law.head_atoms <= interp
+    if kept and new in negated_in:
+        kept = all(
+            blocked.head_atoms <= interp
+            for blocked in map(theory.laws.__getitem__, negated_in[new])
+            if blocked.label not in state.fired
+            and blocked.positive_body <= state.over
+            and not blocked.negative_body & state.interp
+        )
+    return State(interp, fired, state.over if kept else overestimate(theory, interp, fired))
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
@@ -245,6 +271,39 @@ def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
         for law in theory.laws
         if law_status(theory, state, law) is LawStatus.APPLICABLE
     ]
+
+
+def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, list[int]]:
+    """The initial state and the positions of its applicable laws."""
+    root = initial_state(theory, context)
+    ready = {law.label for law in applicable_laws(theory, root)}
+    return root, [i for i, law in enumerate(theory.laws) if law.label in ready]
+
+
+def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcome, child: State) -> list[int]:
+    """Positions of the laws applicable in ``child``, in theory order.
+
+    ``child`` is ``state`` after law ``pos`` fired with ``outcome``, and
+    ``ready`` lists the laws applicable in ``state``. Applicability is
+    monotone along a branch until the law fires, so the child keeps
+    every other law of ``ready``. A law can only become applicable
+    when a positive body atom comes true or a negated one leaves the
+    overestimate, so those laws alone are checked.
+    """
+    index = theory.body_index
+    woken: list = []
+    if outcome is not NO_EFFECT and outcome not in state.interp:
+        woken += index.positive.get(outcome, ())
+    if child.over is not state.over:
+        for atom in index.negative.keys() & (state.over - child.over):
+            woken += index.negative[atom]
+    rest = ready.copy()
+    rest.remove(pos)
+    if not woken:
+        return rest
+    laws = theory.laws
+    new = [i for i in set(woken) if law_status(theory, child, laws[i]) is LawStatus.APPLICABLE]
+    return sorted(rest + new) if new else rest
 
 
 def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> dict:
@@ -295,26 +354,31 @@ def build_tree(
     Python's recursion limit.
     """
     rank = _policy_rank(theory, policy)
-    root = initial_state(theory, context)
+    laws = theory.laws
+    root, root_ready = _root(theory, context)
     built: dict = {}  # (interp, fired) -> TreeNode
-    # A state is pushed with plan None; once its children are pushed
-    # above it, plan holds the fired law and (outcome, child) pairs.
-    stack: list = [(root, None)]
+    # A state is pushed with its applicable laws' positions and plan
+    # None; once its children are pushed above it, plan holds the fired
+    # law and (outcome, prob, child) triples.
+    stack: list = [(root, root_ready, None)]
     while stack:
-        state, plan = stack[-1]
+        state, ready, plan = stack[-1]
         if plan is None:
             if (state.interp, state.fired) in built:
                 stack.pop()
                 continue
-            ready = applicable_laws(theory, state)
             if not ready:
                 stack.pop()
                 built[state.interp, state.fired] = TreeNode(state, None, ())
                 continue
-            law = ready[0] if len(ready) == 1 else min(ready, key=lambda l: rank[l.label])
+            pos = ready[0] if len(ready) == 1 else min(ready, key=lambda i: rank[laws[i].label])
+            law = laws[pos]
             children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in _outcomes(law)]
-            stack[-1] = (state, (law, children))
-            stack.extend((child, None) for _, _, child in children)
+            stack[-1] = (state, ready, (law, children))
+            stack.extend(
+                (child, _next_ready(theory, state, ready, pos, outcome, child), None)
+                for outcome, _, child in children
+            )
         else:
             stack.pop()
             law, children = plan
@@ -341,22 +405,25 @@ def enumerate_branches(
     if target is not None:
         target = frozenset(target)
         check_known(target, theory.vocabulary, "target")
-    root = initial_state(theory, context)
+    root, root_ready = _root(theory, context)
+    laws = theory.laws
 
     def walk() -> Iterator[Branch]:
         # Explicit stack, so depth is not bounded by Python's recursion
-        # limit: moves[i] holds the untried (law, outcome) steps out of
-        # states[i], and events[i] leads from states[i] to states[i + 1].
+        # limit: moves[i] holds the untried (law position, outcome) steps
+        # out of states[i], readies[i] the positions of the laws
+        # applicable there, and events[i] leads from states[i] to
+        # states[i + 1].
         states = [root]
+        readies = [root_ready]
         events: list[Event] = []
         moves: list = []
         while True:
             state = states[-1]
             steps: list = []
             if target is None or (state.interp <= target and target - state.interp <= state.over):
-                ready = applicable_laws(theory, state)
-                if ready:
-                    steps = [(law, outcome) for law in ready for outcome, _ in _outcomes(law)]
+                if readies[-1]:
+                    steps = [(pos, outcome) for pos in readies[-1] for outcome, _ in _outcomes(laws[pos])]
                 elif target is None or state.interp == target:
                     yield Branch(tuple(states), tuple(events))
             moves.append(iter(steps))
@@ -365,9 +432,13 @@ def enumerate_branches(
                 if not moves:
                     return
                 states.pop()
+                readies.pop()
                 events.pop()
-            law, outcome = step
-            states.append(fire(theory, states[-1], law, outcome))
+            pos, outcome = step
+            law = laws[pos]
+            child = fire(theory, states[-1], law, outcome)
+            readies.append(_next_ready(theory, states[-1], readies[-1], pos, outcome, child))
+            states.append(child)
             events.append(Event(law.label, outcome))
 
     return walk()

@@ -145,6 +145,8 @@ class _Scanner:
             value = Fraction(token.replace(" ", ""))
         except ZeroDivisionError:
             raise self.error("probability denominator is zero") from None
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise self.error("probability numeral has too many digits") from None
         if value > 1:
             raise self.error(f"probability {token} exceeds 1")
         self.pos = match.end()

@@ -43,6 +43,12 @@ class TestValidate:
         path.write_text("a:1.2.\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
 
+    def test_numeral_past_the_int_digit_limit_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "long.cpl"
+        path.write_text("a:0." + "1" * 5000 + ".\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("parse error: probability numeral has too many digits")
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.cpl")]) == 1
 

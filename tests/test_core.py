@@ -85,6 +85,44 @@ class TestAtom:
             assert all(a is b for a, b in zip(atoms, got[0], strict=True))
 
 
+class TestComputedOnce:
+    def test_stored_after_the_first_read(self):
+        theory = Theory((law([alt("b")], [Literal(Atom("a"))], "r1"),), frozenset({Atom("a")}))
+        assert theory.vocabulary is theory.vocabulary
+        assert theory.body_index.positive == {Atom("a"): [0]}
+        assert theory.body_index.negative == {}
+
+    def test_threads_reading_fresh_theories_get_equal_values(self):
+        laws = tuple(
+            law([alt(f"h{i}", Fraction(1, 2))], [Literal(Atom(f"h{i - 1}")), Literal(Atom(f"n{i}"), False)], f"r{i}")
+            for i in range(1, 40)
+        )
+        theories = [Theory(laws, frozenset({Atom("h0")})) for _ in range(300)]
+        workers = 6
+        barrier = threading.Barrier(workers)
+        got: list = [None] * workers
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            got[slot] = [(t.body_index, t.vocabulary) for t in theories]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = (theories[0].body_index, theories[0].vocabulary)
+        assert expected[0].negative[Atom("n5")] == [4]
+        for values in got:
+            assert values == [expected] * len(theories)
+
+
 class TestProbabilityRepresentation:
     def test_decimal_text_is_exact(self):
         value = Fraction("0.9")

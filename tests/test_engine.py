@@ -2,11 +2,12 @@
 
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cplogic import corpus
+from cplogic import corpus, engine
 from cplogic.cli import main
 from cplogic.core import Atom, Conjunction, FormulaAtom, Negation, TRUE, eval_formula
 from cplogic.engine import (
@@ -294,6 +295,101 @@ class TestBranchWalker:
             enumerate_branches(suzy, frozenset(), interp("zz_unknown"))
         with pytest.raises(NonExogenousInContextError):
             enumerate_branches(suzy, interp("shatters"))
+
+
+@pytest.fixture
+def carried(monkeypatch):
+    """Every (theory, state, applicable law positions) the walkers carry."""
+    seen = []
+    step = engine._next_ready
+
+    def recording(theory, state, ready, pos, outcome, child):
+        result = step(theory, state, ready, pos, outcome, child)
+        seen.append((theory, child, result))
+        return result
+
+    monkeypatch.setattr(engine, "_next_ready", recording)
+    return seen
+
+
+def _assert_carried_lists_match(seen):
+    for theory, state, ready in seen:
+        assert [theory.laws[i].label for i in ready] == [
+            law.label for law in applicable_laws(theory, state)
+        ]
+
+
+class TestIncrementalStates:
+    """fire and the walkers derive each state from its parent's; the
+    from-scratch overestimate and applicable_laws are the reference."""
+
+    def test_every_state_matches_the_reference_on_random_theories(self, carried):
+        from randgen import random_cases
+
+        for theory, context in random_cases(2000):
+            states = {node.state for node in build_tree(theory, context).nodes()}
+            for branch in enumerate_branches(theory, context):
+                states.update(branch.states)
+            for state in states:
+                assert state.over == overestimate(theory, state.interp, state.fired)
+            _assert_carried_lists_match(carried)
+            carried.clear()
+
+    def test_a_blocked_law_takes_its_head_out_of_the_overestimate(self, carried):
+        # Firing r1 blocks r2, the only support of b; c goes with it,
+        # so ~c becomes settled and r4 applicable.
+        theory = load_theory("a.\nb <- ~a.\nc <- b.\nd <- ~c.\n")
+        root = initial_state(theory, frozenset())
+        assert root.over == interp("a b c d")
+        assert fire(theory, root, theory.law("r1"), Atom("a")).over == interp("a d")
+        tree = build_tree(theory)
+        assert [node.law.label for node in tree.nodes() if node.law] == ["r1", "r4"]
+        assert [b.events for b in enumerate_branches(theory, frozenset())] == [
+            (Event("r1", Atom("a")), Event("r4", Atom("d")))
+        ]
+        _assert_carried_lists_match(carried)
+
+
+def _chain(depth, annotation=""):
+    lines = ["exogenous a0."]
+    lines += [f"a{i}{annotation} <- a{i - 1}." for i in range(1, depth + 1)]
+    return load_theory("\n".join(lines) + "\n")
+
+
+class TestChainScale:
+    """Work per state does not grow with the theory: a d-law chain
+    checks each law's status a bounded number of times, not once per
+    state (about d * (2d + 1) calls)."""
+
+    DEPTH = 200
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("law_status", "overestimate"):
+            def counting(*args, _name=name, _original=getattr(engine, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, counting)
+        return counts
+
+    def test_build_tree(self, calls):
+        tree = build_tree(_chain(self.DEPTH, ":9/10"), interp("a0"))
+        assert sum(1 for _ in tree.nodes()) == 2 * self.DEPTH + 1
+        assert calls["law_status"] < 10 * self.DEPTH
+
+    def test_replay_story(self, calls):
+        theory = _chain(self.DEPTH)
+        text = "context a0.\n" + "".join(f"r{i} -> a{i}.\n" for i in range(1, self.DEPTH + 1))
+        story = parse_story(text, theory)
+        calls.clear()
+        branch = replay_story(theory, story)
+        assert branch.final_state.over == branch.final_state.interp
+        assert calls["law_status"] < 10 * self.DEPTH
+        # Every step makes its law's only head atom true, so only the
+        # initial state needs the full fixpoint.
+        assert calls["overestimate"] == 1
 
 
 class TestNoEffect:

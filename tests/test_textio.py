@@ -108,6 +108,11 @@ class TestParseTheory:
         with pytest.raises(ParseError):
             parse_theory("a:1/0.\n")
 
+    def test_numeral_past_the_int_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_theory("a:0." + "1" * 5000 + ".\n")
+        assert "too many digits" in str(err.value)
+
 
 class TestParseStory:
     def theory(self):
