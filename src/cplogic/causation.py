@@ -38,6 +38,7 @@ from .engine import (
     NO_EFFECT,
     Branch,
     LawStatus,
+    State,
     enumerate_branches,
     law_status,
     prob_formula,
@@ -177,9 +178,9 @@ def force(theory: Theory, atom: Atom) -> Theory:
 # Dependency and relevance
 
 
-def _require_holds(lits: Iterable[Literal], interp: AbstractSet[Atom]) -> None:
+def _require_holds(lits: Iterable[Literal], state: State) -> None:
     for lit in lits:
-        if not lit.holds_in(interp):
+        if bool(state.interp_bits & state.theory.numbering.bit(lit.atom)) != lit.positive:
             raise PreconditionNotInFinalStateError(
                 f"{lit} does not hold in the branch's final state"
             )
@@ -212,7 +213,8 @@ def counterfactual_dependency(
     branch. Used on its own this over-reports non-causation whenever a
     redundant mechanism would have produced the effect anyway.
     """
-    _require_holds((cause, effect), branch.final_state.interp)
+    check_known({cause.atom, effect.atom}, theory.vocabulary, "query")
+    _require_holds((cause, effect), branch.final_state)
     _, _, prob = _counterfactual(theory, fix_story(theory, branch), branch, cause, effect)
     return prob == 0
 
@@ -224,13 +226,13 @@ def effect_index(branch: Branch, effect: Literal) -> int:
     for a negative literal, the state where the atom dropped out of the
     overestimate, i.e. stopped being causable.
     """
+    bit = branch.states[0].theory.numbering.bit(effect.atom)
     for k, state in enumerate(branch.states):
         if effect.positive:
-            if effect.atom in state.interp:
+            if state.interp_bits & bit:
                 return k
-        else:
-            if effect.atom not in state.over:
-                return k
+        elif not bit & state.over_bits:
+            return k
     raise EffectNeverHoldsError(f"{effect} never starts to hold along the branch")
 
 
@@ -262,7 +264,8 @@ def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
 
 def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     """Complete-information check of one cause/effect pair on one branch."""
-    _require_holds((query.cause, query.effect), branch.final_state.interp)
+    check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
+    _require_holds((query.cause, query.effect), branch.final_state)
     j = effect_index(branch, query.effect)
     relevant = relevant_theory(theory, branch, query.effect)
     counterfactual, context, prob = _counterfactual(
@@ -299,6 +302,9 @@ def classify_causes(
     """
     final_interp = frozenset(final_interp)
     check_known(final_interp, theory.vocabulary, "final state")
+    query_atoms = {effect.atom}
+    query_atoms.update(lit.atom for lit in candidates or ())
+    check_known(query_atoms, theory.vocabulary, "query")
     if not effect.holds_in(final_interp):
         raise PreconditionNotInFinalStateError(
             f"{effect} does not hold in the observed final state"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .causation import (
     CauseQuery,
@@ -34,6 +35,7 @@ from .textio import (
     export_tree_dot,
     format_interp,
     format_law,
+    interp_formatter,
     load_theory,
     parse_context,
     parse_formula,
@@ -103,23 +105,24 @@ def cmd_prob(args) -> int:
     return 0
 
 
-def _render_tree(tree: ExecutionTree) -> list[str]:
-    lines: list[str] = []
+def _render_tree(tree: ExecutionTree) -> Iterator[str]:
+    """The tree's text lines, one at a time, so a caller can print them
+    as they come."""
+    interp_text = interp_formatter(tree.theory.numbering)
     # Pre-order with an explicit stack; a str entry is an edge line,
     # pushed so that it pops just before the subtree it leads to.
     stack: list = [(tree.root, 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            lines.append(item)
+            yield item
             continue
         node, depth = item
         pad = "  " * depth
-        lines.append(f"{pad}{format_interp(node.state.interp)}")
+        yield f"{pad}{interp_text(node.state.interp_bits)}"
         for edge in reversed(node.edges):
             stack.append((edge.child, depth + 2))
             stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
-    return lines
 
 
 def cmd_tree(args) -> int:
@@ -134,9 +137,9 @@ def cmd_tree(args) -> int:
     for line in _render_tree(tree):
         print(line)
     print("distribution over final states:")
-    dist = distribution(tree)
-    for interp in sorted(dist, key=lambda s: (-dist[s], format_interp(s))):
-        print(f"  {format_interp(interp)}: {_prob_text(dist[interp])}")
+    rows = sorted((-mass, format_interp(interp)) for interp, mass in distribution(tree).items())
+    for mass, text in rows:
+        print(f"  {text}: {_prob_text(-mass)}")
     return 0
 
 

@@ -11,7 +11,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import AbstractSet, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .errors import UnknownAtomError, UnknownLabelError, ValidationError
 
@@ -162,11 +162,15 @@ class CPLaw:
 
     @compute_once
     def head_sum(self) -> Probability:
+        if len(self.head) == 1:
+            return self.head[0].prob
         return sum((alt.prob for alt in self.head), Fraction(0))
 
     @compute_once
     def no_effect_prob(self) -> Probability:
-        return Fraction(1) - self.head_sum
+        # 1 - n/d as (d - n)/d: cheaper than Fraction subtraction.
+        total = self.head_sum
+        return Fraction(total.denominator - total.numerator, total.denominator)
 
     @compute_once
     def positive_body(self) -> frozenset[Atom]:
@@ -178,6 +182,86 @@ class CPLaw:
 
     def with_label(self, label: str) -> "CPLaw":
         return replace(self, label=label)
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative int, ascending."""
+    digits = bin(mask)[:1:-1]  # least significant bit first, no "0b"
+    return [i for i, digit in enumerate(digits) if digit == "1"]
+
+
+class Numbering:
+    """One theory's atoms and laws as bit positions of plain ``int`` masks.
+
+    Atom ``atoms[i]`` is bit i of an atom mask, numbered in order of
+    first appearance (exogenous atoms, then law by law, head before
+    body); law ``i`` of ``Theory.laws`` is bit i of a law mask, and
+    ``pos``, ``neg`` and ``head`` hold its positive body, negated body
+    and head atoms as masks. Masks mean something only within the
+    numbering that made them.
+    """
+
+    __slots__ = ("atoms", "index", "labels", "position", "pos", "neg", "head", "negated")
+
+    def __init__(self, theory: "Theory"):
+        index = {atom: i for i, atom in enumerate(theory.exogenous)}
+        head: list = []
+        pos: list = []
+        neg: list = []
+        negated = 0
+        for law in theory.laws:
+            h = p = q = 0
+            for alt in law.head:
+                h |= 1 << index.setdefault(alt.atom, len(index))
+            for lit in law.body:
+                if lit.positive:
+                    p |= 1 << index.setdefault(lit.atom, len(index))
+                else:
+                    q |= 1 << index.setdefault(lit.atom, len(index))
+            head.append(h)
+            pos.append(p)
+            neg.append(q)
+            negated |= q
+        labels = [law.label for law in theory.laws]
+        self.atoms = list(index)
+        self.index = index
+        self.labels = labels
+        self.position = {label: i for i, label in enumerate(labels)}
+        self.head = head
+        self.pos = pos
+        self.neg = neg
+        self.negated = negated  # atoms that some body negates
+
+    def atom_mask(self, atoms: Iterable[Atom]) -> int:
+        """Mask of the given atoms; atoms outside the numbering are left out."""
+        mask = 0
+        for atom in atoms:
+            i = self.index.get(atom)
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def bit(self, atom: Atom) -> int:
+        """The atom's one-bit mask, or 0 for an atom outside the numbering."""
+        i = self.index.get(atom)
+        return 0 if i is None else 1 << i
+
+    def law_mask(self, labels: Iterable[str]) -> int:
+        """Mask of the laws with the given labels; unknown labels are left out."""
+        mask = 0
+        for label in labels:
+            i = self.position.get(label)
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def atom_set(self, mask: int) -> frozenset:
+        atoms = self.atoms
+        return frozenset([atoms[i] for i in bit_positions(mask)])
+
+    def label_set(self, mask: int) -> frozenset:
+        labels = self.labels
+        return frozenset([labels[i] for i in bit_positions(mask)])
 
 
 class BodyIndex(NamedTuple):
@@ -236,6 +320,11 @@ class Theory:
             for atom in law.negative_body:
                 negative.setdefault(atom, []).append(i)
         return BodyIndex(positive, negative)
+
+    @compute_once
+    def numbering(self) -> "Numbering":
+        """Bit positions of the atoms and laws, for the engine's states."""
+        return Numbering(self)
 
     @compute_once
     def has_symbolic_probabilities(self) -> bool:

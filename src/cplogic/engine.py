@@ -1,22 +1,31 @@
 """Execution semantics for validated theories.
 
 A state tracks three things: the atoms made true so far, the laws that
-have already fired, and a cached overestimate of every atom that can
+have already fired, and an overestimate of every atom that can
 still be caused. Negation in law bodies is read strongly: ``~a`` holds
 in a state only once ``a`` has dropped out of the overestimate, meaning
 it can never become true anymore. Trees, branch enumeration, story
 replay and probability queries all build on those states; probabilities
 are exact rationals throughout.
 
-Successor states are incremental. ``fire`` keeps the parent's
-overestimate unless the step removed the only support of some atom,
-and only then runs the full fixpoint. The tree builder and the branch
-walker carry each state's applicable laws down their stacks and, after
-a step, recheck only the laws that the theory's ``body_index`` ties to
-the new atom or to atoms that left the overestimate. ``overestimate``
-and ``applicable_laws`` compute from scratch; they are the reference
-the incremental steps are tested against, and the walkers call them
-only at the root.
+A state stores its three sets as ``int`` masks over its theory's
+``numbering`` (``core.Numbering``: one bit per atom and per law), so a
+step ORs in one bit instead of copying sets, and the public ``interp``,
+``fired`` and ``over`` frozensets are views built only when read.
+States from another theory object are converted through those views.
+
+Successor states are incremental, and the overestimate is computed on
+demand. ``fire`` keeps the parent's overestimate when the parent has
+one and the step removed no atom's only support; otherwise the child's
+stays unset, and the full fixpoint runs the first time something reads
+it. Only a negated body, the target cut of ``enumerate_branches`` and
+the causation queries read it: a law without negated body is
+applicable once its positive body is true. The tree builder and the
+branch walker carry each state's applicable laws down their stacks
+and, after a step, recheck only the laws that the theory's
+``body_index`` ties to the new atom or to atoms that left the
+overestimate. ``overestimate`` and ``applicable_laws`` compute from
+scratch; the walkers call the latter only at the root.
 """
 
 from __future__ import annotations
@@ -30,9 +39,12 @@ from .core import (
     Atom,
     CPLaw,
     Formula,
+    Numbering,
     Probability,
     Theory,
+    bit_positions,
     check_known,
+    compute_once,
     eval_formula,
     formula_atoms,
 )
@@ -76,18 +88,62 @@ class LawStatus(enum.Enum):
     IMPOSSIBLE = "impossible"
 
 
-@dataclass(frozen=True)
 class State:
     """A node of an execution tree.
 
     ``interp`` is the set of true atoms, ``fired`` the labels of laws
-    consumed so far, ``over`` the cached overestimate of atoms that can
-    still be caused (always a superset of ``interp``).
+    consumed so far, ``over`` the overestimate of atoms that can still
+    be caused (always a superset of ``interp``). The state keeps them
+    as masks over its theory's ``numbering``: ``interp_bits``,
+    ``fired_bits`` and ``over_bits``, the last computed the first time
+    something reads it. The frozensets are views, built on first read
+    and never by the engine itself. Equality, hashing, pickling and
+    ``repr`` go by the three views.
     """
 
-    interp: frozenset
-    fired: frozenset
-    over: frozenset
+    __slots__ = ("theory", "interp_bits", "fired_bits", "_over", "__dict__")
+
+    def __init__(self, theory: Theory, interp_bits: int, fired_bits: int, over_bits: int | None = None):
+        self.theory = theory
+        self.interp_bits = interp_bits
+        self.fired_bits = fired_bits
+        self._over = over_bits
+
+    @property
+    def over_bits(self) -> int:
+        over = self._over
+        if over is None:
+            over = self._over = overestimate(self.theory, self.interp_bits, self.fired_bits)
+        return over
+
+    @compute_once
+    def interp(self) -> frozenset:
+        return self.theory.numbering.atom_set(self.interp_bits)
+
+    @compute_once
+    def fired(self) -> frozenset:
+        return self.theory.numbering.label_set(self.fired_bits)
+
+    @compute_once
+    def over(self) -> frozenset:
+        return self.theory.numbering.atom_set(self.over_bits)
+
+    def __eq__(self, other):
+        if not isinstance(other, State):
+            return NotImplemented
+        if self.theory is other.theory:
+            return (self.interp_bits == other.interp_bits and self.fired_bits == other.fired_bits
+                    and self.over_bits == other.over_bits)
+        return (self.interp, self.fired, self.over) == (other.interp, other.fired, other.over)
+
+    def __hash__(self):
+        return hash((self.interp, self.fired, self.over))
+
+    def __repr__(self):
+        return f"State(interp={self.interp!r}, fired={self.fired!r}, over={self.over!r})"
+
+    def __reduce__(self):
+        return State, (self.theory, self.interp_bits, self.fired_bits, self.over_bits)
 
 
 @dataclass(frozen=True)
@@ -163,33 +219,41 @@ class ExecutionTree:
 Distribution = dict
 
 
-def overestimate(theory: Theory, interp: AbstractSet[Atom], fired: AbstractSet[str]) -> frozenset:
+def overestimate(
+    theory: Theory, interp: AbstractSet[Atom] | int, fired: AbstractSet[str] | int
+) -> frozenset | int:
     """Least fixpoint of the atoms that may still become true.
 
     An unfired law contributes its head atoms as long as none of its
     negated body atoms is already true (deviations are permanent) and
     its positive body atoms are themselves still causable.
+
+    ``interp`` and ``fired`` are sets of atoms and of law labels, and
+    the result is a frozenset; or, as the engine's states call it,
+    both are masks over ``theory.numbering`` and so is the result.
     """
-    interp = frozenset(interp)
-    over = set(interp)
-    candidates = [
-        law
-        for law in theory.laws
-        if law.label not in fired and not (law.negative_body & interp)
-    ]
+    numbering = theory.numbering
+    as_sets = not isinstance(interp, int)
+    if as_sets:
+        interp = frozenset(interp)
+        start, fired = numbering.atom_mask(interp), numbering.law_mask(fired)
+    else:
+        start = interp
+    pos, neg, head = numbering.pos, numbering.neg, numbering.head
+    over = start
+    candidates = [i for i in range(len(head)) if not fired >> i & 1 and not neg[i] & start]
     changed = True
     while changed:
         changed = False
         remaining = []
-        for law in candidates:
-            if law.positive_body <= over:
-                if not law.head_atoms <= over:
-                    over.update(law.head_atoms)
-                changed = True
+        for i in candidates:
+            if pos[i] & ~over:
+                remaining.append(i)
             else:
-                remaining.append(law)
+                over |= head[i]
+                changed = True
         candidates = remaining
-    return frozenset(over)
+    return interp | numbering.atom_set(over) if as_sets else over
 
 
 def initial_state(theory: Theory, context: AbstractSet[Atom]) -> State:
@@ -201,7 +265,30 @@ def initial_state(theory: Theory, context: AbstractSet[Atom]) -> State:
         raise NonExogenousInContextError(
             f"context may only contain exogenous atoms, got: {names}"
         )
-    return State(context, frozenset(), overestimate(theory, context, frozenset()))
+    return State(theory, theory.numbering.atom_mask(context), 0)
+
+
+def _adopt(theory: Theory, state: State) -> State:
+    """A state of another theory object, converted through its views."""
+    numbering = theory.numbering
+    return State(
+        theory,
+        numbering.atom_mask(state.interp),
+        numbering.law_mask(state.fired),
+        numbering.atom_mask(state.over),
+    )
+
+
+def _applicable(numbering: Numbering, state: State, i: int) -> bool:
+    """Is law ``i`` applicable? Reads the overestimate only for a law
+    with a negated body: otherwise its positive body is true, hence
+    inside the overestimate."""
+    neg = numbering.neg[i]
+    return (
+        not state.fired_bits >> i & 1
+        and not numbering.pos[i] & ~state.interp_bits
+        and not (neg and neg & state.over_bits)
+    )
 
 
 def law_status(theory: Theory, state: State, law: CPLaw) -> LawStatus:
@@ -212,12 +299,16 @@ def law_status(theory: Theory, state: State, law: CPLaw) -> LawStatus:
     Applicable requires the positive preconditions to be true now and
     every negated atom to be out of the overestimate for good.
     """
-    if law.label in state.fired:
+    if state.theory is not theory:
+        state = _adopt(theory, state)
+    numbering = theory.numbering
+    i = numbering.position[law.label]
+    if state.fired_bits >> i & 1:
         return LawStatus.FIRED
-    if not law.positive_body <= state.over or law.negative_body & state.interp:
-        return LawStatus.IMPOSSIBLE
-    if law.positive_body <= state.interp and not law.negative_body & state.over:
+    if _applicable(numbering, state, i):
         return LawStatus.APPLICABLE
+    if numbering.neg[i] & state.interp_bits or numbering.pos[i] & ~state.over_bits:
+        return LawStatus.IMPOSSIBLE
     return LawStatus.PENDING
 
 
@@ -228,56 +319,60 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     residual probability. Realizing an atom that is already true leaves
     the interpretation unchanged but still consumes the law.
     """
-    status = law_status(theory, state, law)
-    if status is not LawStatus.APPLICABLE:
+    if state.theory is not theory:
+        state = _adopt(theory, state)
+    numbering = theory.numbering
+    i = numbering.position[law.label]
+    if not _applicable(numbering, state, i):
         raise NotApplicableError(
-            f"law {law.label} is {status.value}, not applicable"
+            f"law {law.label} is {law_status(theory, state, law).value}, not applicable"
         )
     if outcome is NO_EFFECT:
         if law.no_effect_prob <= 0:
             raise InvalidOutcomeError(
                 f"law {law.label} has no residual probability for a no-effect firing"
             )
-        new = None
+        new = 0
     else:
         if not isinstance(outcome, Atom) or outcome not in law.head_atoms:
             raise InvalidOutcomeError(
                 f"{outcome} is not a head atom of law {law.label}"
             )
-        new = None if outcome in state.interp else outcome
-    interp = state.interp if new is None else state.interp | {new}
-    fired = state.fired | {law.label}
+        new = 1 << numbering.index[outcome] & ~state.interp_bits
+    interp = state.interp_bits | new
     # The step drops from the fixpoint's candidates the fired law and the
     # unfired laws the new atom blocks. Only atoms whose support ran
     # through a dropped law can leave the overestimate, so if every
     # dropped law that could contribute (positive body in the parent's
     # overestimate) has all its head atoms true, it stays as it is.
-    negated_in = theory.body_index.negative
-    kept = law.head_atoms <= interp
-    if kept and new in negated_in:
-        kept = all(
-            blocked.head_atoms <= interp
-            for blocked in map(theory.laws.__getitem__, negated_in[new])
-            if blocked.label not in state.fired
-            and blocked.positive_body <= state.over
-            and not blocked.negative_body & state.interp
-        )
-    return State(interp, fired, state.over if kept else overestimate(theory, interp, fired))
+    # Otherwise the child's overestimate waits until something reads it.
+    over = state._over
+    if over is not None and numbering.head[i] & ~interp:
+        over = None
+    if over is not None and new:
+        blocked = theory.body_index.negative.get(outcome, ())
+        pos, neg, head = numbering.pos, numbering.neg, numbering.head
+        fired = state.fired_bits
+        for j in blocked:
+            if (head[j] & ~interp and not fired >> j & 1
+                    and not pos[j] & ~over and not neg[j] & state.interp_bits):
+                over = None
+                break
+    return State(theory, interp, state.fired_bits | 1 << i, over)
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
-    return [
-        law
-        for law in theory.laws
-        if law_status(theory, state, law) is LawStatus.APPLICABLE
-    ]
+    if state.theory is not theory:
+        state = _adopt(theory, state)
+    numbering = theory.numbering
+    return [law for i, law in enumerate(theory.laws) if _applicable(numbering, state, i)]
 
 
 def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, list[int]]:
     """The initial state and the positions of its applicable laws."""
     root = initial_state(theory, context)
-    ready = {law.label for law in applicable_laws(theory, root)}
-    return root, [i for i, law in enumerate(theory.laws) if law.label in ready]
+    position = theory.numbering.position
+    return root, [position[law.label] for law in applicable_laws(theory, root)]
 
 
 def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcome, child: State) -> list[int]:
@@ -288,35 +383,36 @@ def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcom
     monotone along a branch until the law fires, so the child keeps
     every other law of ``ready``. A law can only become applicable
     when a positive body atom comes true or a negated one leaves the
-    overestimate, so those laws alone are checked.
+    overestimate, so those laws alone are checked. Only a theory with
+    negated bodies reads the overestimates here.
     """
     index = theory.body_index
+    numbering = theory.numbering
     woken: list = []
-    if outcome is not NO_EFFECT and outcome not in state.interp:
+    if child.interp_bits != state.interp_bits:
         woken += index.positive.get(outcome, ())
-    if child.over is not state.over:
-        for atom in index.negative.keys() & (state.over - child.over):
-            woken += index.negative[atom]
+    if index.negative and child.over_bits is not state.over_bits:
+        lost = state.over_bits & ~child.over_bits & numbering.negated
+        for i in bit_positions(lost):
+            woken += index.negative[numbering.atoms[i]]
     rest = ready.copy()
     rest.remove(pos)
     if not woken:
         return rest
-    laws = theory.laws
-    new = [i for i in set(woken) if law_status(theory, child, laws[i]) is LawStatus.APPLICABLE]
+    new = [i for i in set(woken) if _applicable(numbering, child, i)]
     return sorted(rest + new) if new else rest
 
 
-def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> dict:
+def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> list[int] | None:
+    """Rank of each law position under the policy; None for file order."""
     if policy is None:
-        return {law.label: i for i, law in enumerate(theory.laws)}
+        return None
     rank: dict = {}
     for i, label in enumerate(policy):
         theory.law(label)  # raises UnknownLabelError for bogus labels
         rank[label] = i
     base = len(rank)
-    for i, law in enumerate(theory.laws):
-        rank.setdefault(law.label, base + i)
-    return rank
+    return [rank.get(law.label, base + i) for i, law in enumerate(theory.laws)]
 
 
 def _outcomes(law: CPLaw) -> list[tuple[Outcome, Probability]]:
@@ -356,7 +452,7 @@ def build_tree(
     rank = _policy_rank(theory, policy)
     laws = theory.laws
     root, root_ready = _root(theory, context)
-    built: dict = {}  # (interp, fired) -> TreeNode
+    built: dict = {}  # (interp_bits, fired_bits) -> TreeNode
     # A state is pushed with its applicable laws' positions and plan
     # None; once its children are pushed above it, plan holds the fired
     # law and (outcome, prob, child) triples.
@@ -364,14 +460,16 @@ def build_tree(
     while stack:
         state, ready, plan = stack[-1]
         if plan is None:
-            if (state.interp, state.fired) in built:
+            key = state.interp_bits, state.fired_bits
+            if key in built:
                 stack.pop()
                 continue
             if not ready:
                 stack.pop()
-                built[state.interp, state.fired] = TreeNode(state, None, ())
+                built[key] = TreeNode(state, None, ())
                 continue
-            pos = ready[0] if len(ready) == 1 else min(ready, key=lambda i: rank[laws[i].label])
+            # ready is in theory order, so file order takes its first law.
+            pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
             law = laws[pos]
             children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in _outcomes(law)]
             stack[-1] = (state, ready, (law, children))
@@ -383,11 +481,11 @@ def build_tree(
             stack.pop()
             law, children = plan
             edges = tuple(
-                TreeEdge(outcome, prob, built[child.interp, child.fired])
+                TreeEdge(outcome, prob, built[child.interp_bits, child.fired_bits])
                 for outcome, prob, child in children
             )
-            built[state.interp, state.fired] = TreeNode(state, law, edges)
-    return ExecutionTree(theory, built[root.interp, root.fired])
+            built[state.interp_bits, state.fired_bits] = TreeNode(state, law, edges)
+    return ExecutionTree(theory, built[root.interp_bits, root.fired_bits])
 
 
 def enumerate_branches(
@@ -405,6 +503,7 @@ def enumerate_branches(
     if target is not None:
         target = frozenset(target)
         check_known(target, theory.vocabulary, "target")
+        target = theory.numbering.atom_mask(target)
     root, root_ready = _root(theory, context)
     laws = theory.laws
 
@@ -421,10 +520,14 @@ def enumerate_branches(
         while True:
             state = states[-1]
             steps: list = []
-            if target is None or (state.interp <= target and target - state.interp <= state.over):
+            interp = state.interp_bits
+            # Prune on an atom outside the target, or on a missing target
+            # atom that can no longer be caused; the overestimate is read
+            # only while target atoms are missing.
+            if target is None or not (interp & ~target or target & ~interp and target & ~state.over_bits):
                 if readies[-1]:
                     steps = [(pos, outcome) for pos in readies[-1] for outcome, _ in _outcomes(laws[pos])]
-                elif target is None or state.interp == target:
+                elif target is None or interp == target:
                     yield Branch(tuple(states), tuple(events))
             moves.append(iter(steps))
             while (step := next(moves[-1], None)) is None:
@@ -465,11 +568,12 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
 
 def distribution(tree: ExecutionTree) -> Distribution:
     """Aggregate leaf probability mass by final interpretation."""
-    dist: Distribution = {}
+    by_bits: dict = {}
     for leaf, mass in tree.leaves_with_mass():
-        interp = leaf.state.interp
-        dist[interp] = dist.get(interp, _ZERO) + mass
-    return dist
+        interp = leaf.state.interp_bits
+        by_bits[interp] = by_bits.get(interp, _ZERO) + mass
+    numbering = tree.theory.numbering
+    return {numbering.atom_set(interp): mass for interp, mass in by_bits.items()}
 
 
 def prob_formula(
@@ -485,18 +589,29 @@ def prob_formula(
     atoms whose causing laws were removed stay queryable.
     """
     vocab = theory.vocabulary if vocabulary is None else vocabulary
-    check_known(formula_atoms(formula), vocab, "formula")
+    atoms = formula_atoms(formula)
+    check_known(atoms, vocab, "formula")
     # Fold the shared tree level by level: every edge fires one law, so
     # all paths to a node have the same length and a node's mass is
     # complete once the level above it is done.
     root = build_tree(theory, context).root
+    # A leaf is judged on the formula's own atoms only, once per pattern.
+    numbering = theory.numbering
+    bits = [(atom, numbering.bit(atom)) for atom in atoms]
+    relevant = sum(bit for _, bit in bits)
+    holds: dict = {}  # interp_bits & relevant -> bool
     total = _ZERO
     level = {id(root): (root, _ONE)}
     while level:
         below: dict = {}
         for node, mass in level.values():
             if not node.edges:
-                if eval_formula(formula, node.state.interp):
+                seen = node.state.interp_bits & relevant
+                value = holds.get(seen)
+                if value is None:
+                    true = frozenset([atom for atom, bit in bits if seen & bit])
+                    value = holds[seen] = eval_formula(formula, true)
+                if value:
                     total += mass
                 continue
             for edge in node.edges:

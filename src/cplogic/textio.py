@@ -28,10 +28,12 @@ the constants ``true``/``false``, with the usual precedence.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet
+from itertools import compress
+from typing import AbstractSet, Callable
 
 from .core import (
     TRUE,
@@ -45,6 +47,7 @@ from .core import (
     HeadAlternative,
     Literal,
     Negation,
+    Numbering,
     Probability,
     Theory,
     validate_theory,
@@ -384,6 +387,27 @@ def format_interp(interp: AbstractSet[Atom]) -> str:
     return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
 
 
+def interp_formatter(numbering: Numbering) -> Callable[[int], str]:
+    """``format_interp`` for atom masks of one numbering.
+
+    The renderers format every node from its state's ``interp_bits``,
+    building no view; the atoms are sorted by name once, not per node.
+    """
+    atoms = numbering.atoms
+    if not atoms:
+        return lambda mask: "{}"
+    order = sorted(range(len(atoms)), key=lambda i: atoms[i].name)
+    names = [atoms[i].name for i in order]
+    in_name_order = operator.itemgetter(*order)
+    spec = f"0{len(atoms)}b"
+
+    def text(mask: int) -> str:
+        digits = format(mask, spec)[::-1]  # digit i is atom i
+        return "{" + ", ".join(compress(names, map("1".__eq__, in_name_order(digits)))) + "}"
+
+    return text
+
+
 def format_law(law: CPLaw, include_label: bool = True) -> str:
     head = "; ".join(_format_prob(alt) for alt in law.head)
     body = ", ".join(str(lit) for lit in law.body)
@@ -416,8 +440,9 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
     lines = ["digraph execution_tree {", "  node [shape=box];"]
     if isinstance(tree, Branch):
         law_of = theory.law if theory is not None else None
+        interp_text = interp_formatter(tree.states[0].theory.numbering)
         for i, state in enumerate(tree.states):
-            lines.append(f'  n{i} [label="{format_interp(state.interp)}"];')
+            lines.append(f'  n{i} [label="{interp_text(state.interp_bits)}"];')
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
@@ -428,6 +453,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         # carries the edge into it; that edge's line is pushed as a str
         # below the node's children, so it follows the whole subtree.
         counter = 0
+        interp_text = interp_formatter(tree.theory.numbering)
         stack: list = [(tree.root, None)]
         while stack:
             item = stack.pop()
@@ -437,7 +463,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
             node, into = item
             ident = counter
             counter += 1
-            lines.append(f'  n{ident} [label="{format_interp(node.state.interp)}"];')
+            lines.append(f'  n{ident} [label="{interp_text(node.state.interp_bits)}"];')
             if into is not None:
                 parent, text = into
                 stack.append(f'  n{parent} -> n{ident} [label="{text}"];')

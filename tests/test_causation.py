@@ -29,6 +29,7 @@ from cplogic.errors import (
     ExogenousForcedError,
     PreconditionNotInFinalStateError,
     SelfCauseQueryError,
+    UnknownAtomError,
 )
 from cplogic.textio import load_theory, parse_literal, parse_story
 
@@ -476,3 +477,21 @@ class TestTransformationProperties:
         for law in partial.laws:
             if law.label in fixed_labels:
                 assert law in full.laws
+
+
+class TestUnknownQueryAtoms:
+    """Query atoms outside the theory raise instead of getting a verdict."""
+
+    def test_actual_cause_and_dependency(self, suzy, suzy_branch):
+        for cause, effect in (("~zzz", "shatters"), ("zzz", "shatters"), ("throws_suzy", "~zzz")):
+            with pytest.raises(UnknownAtomError, match="query mentions unknown atoms: zzz"):
+                actual_cause(suzy, suzy_branch, CauseQuery(lit(cause), lit(effect)))
+            with pytest.raises(UnknownAtomError, match="query mentions unknown atoms: zzz"):
+                counterfactual_dependency(suzy, suzy_branch, lit(cause), lit(effect))
+
+    def test_classify_causes(self, suzy):
+        outcome = interp("throws_suzy throws_billy shatters")
+        with pytest.raises(UnknownAtomError, match="query mentions unknown atoms: zzz"):
+            classify_causes(suzy, outcome, lit("shatters"), candidates=[lit("zzz"), lit("~zzz")])
+        with pytest.raises(UnknownAtomError, match="query mentions unknown atoms: zzz"):
+            classify_causes(suzy, outcome, lit("~zzz"))

@@ -1,5 +1,6 @@
 """Command-line behavior: output, warnings and exit codes."""
 
+import inspect
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cplogic import corpus
-from cplogic.cli import main
+from cplogic.cli import _render_tree, main
+from cplogic.engine import build_tree
+from cplogic.textio import load_theory, parse_context
 
 
 @pytest.fixture
@@ -260,3 +263,39 @@ class TestCauses:
         captured = capsys.readouterr()
         assert "branches matching the outcome: 0" in captured.out
         assert "warning" in captured.err
+
+
+class TestUnknownQueryAtoms:
+    """An atom outside the theory on either side of a causation query is
+    a semantic error (exit 2), not a verdict."""
+
+    @pytest.mark.parametrize("cause, effect", [("~zzz", "shatters"), ("zzz", "shatters"),
+                                               ("throws_suzy", "zzz"), ("throws_suzy", "~zzz")])
+    def test_cause(self, files, capsys, cause, effect):
+        code = main([
+            "cause", files["suzy_billy.cpl"],
+            "--story", files["suzy_billy_suzy_first.story"],
+            "--cause", cause, "--effect", effect,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: query mentions unknown atoms: zzz\n"
+
+    @pytest.mark.parametrize("extra", [["--effect", "shatters", "--candidates", "zzz,~zzz"],
+                                       ["--effect", "~zzz"]])
+    def test_causes(self, files, capsys, extra):
+        code = main(["causes", files["suzy_billy.cpl"],
+                     "--outcome", "throws_suzy,throws_billy,shatters", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: query mentions unknown atoms: zzz\n"
+
+
+class TestStreamedTree:
+    def test_tree_lines_come_from_a_generator(self):
+        theory = load_theory(corpus.read_text("suzy_billy.cpl"))
+        tree = build_tree(theory, parse_context("throws_suzy,throws_billy"))
+        lines = _render_tree(tree)
+        assert inspect.isgenerator(lines)
+        assert next(lines) == "{throws_billy, throws_suzy}"
+        assert next(lines) == "  r1 -> shatters (9/10)"

@@ -2,6 +2,9 @@
 
 import copy
 import pickle
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -542,3 +545,166 @@ class TestSharedTree:
         assert main(["tree", str(path), "--context", "t1,t2,t3"]) == 0
         shown = capsys.readouterr().out.split("distribution over final states:")[0]
         assert shown.splitlines() == _render_reference(tree)
+
+
+def _state_views(state):
+    return state.interp, state.fired, state.over
+
+
+def _tree_rows(tree):
+    """Per-path pre-order rows: state views, fired law and edges of each node."""
+    rows = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        label = node.law.label if node.law else None
+        rows.append((_state_views(node.state), label, [(e.outcome, e.prob) for e in node.edges]))
+        stack.extend(reversed([edge.child for edge in node.edges]))
+    return rows
+
+
+def _assert_same_branches(got, want):
+    """Same branches in the same order, with equal state views; each
+    distinct pair of state objects is compared once."""
+    got, want, matched = list(got), list(want), {}
+    assert [branch.events for branch in got] == [branch.events for branch in want]
+    for mine, theirs in zip(got, want):
+        for state, ref in zip(mine.states, theirs.states):
+            if matched.get(id(state)) is not ref:
+                assert _state_views(state) == _state_views(ref)
+                matched[id(state)] = ref
+
+
+def _formulas(theory):
+    atoms = sorted(theory.vocabulary)
+    formulas = [TRUE] + [FormulaAtom(a) for a in atoms] + [Negation(FormulaAtom(a)) for a in atoms]
+    formulas += [Conjunction((FormulaAtom(a), Negation(FormulaAtom(b)))) for a, b in zip(atoms, atoms[1:])]
+    return formulas
+
+
+class TestMaskStates:
+    """The mask engine against the frozenset engine it replaced, which
+    ``tests/frozenset_engine.py`` keeps as the reference."""
+
+    def test_views_trees_branches_and_probabilities_match_the_frozenset_engine(self):
+        import frozenset_engine as reference
+        from randgen import all_policies, random_cases
+
+        for theory, context in random_cases(2000):
+            assert _tree_rows(build_tree(theory, context)) == _tree_rows(reference.build_tree(theory, context))
+            want = list(reference.enumerate_branches(theory, context))
+            _assert_same_branches(enumerate_branches(theory, context), want)
+            # With a target, the walk yields the branches that end there,
+            # in the same order; their states were compared just above.
+            for final in {branch.final_state.interp for branch in want}:
+                assert [branch.events for branch in enumerate_branches(theory, context, final)] == [
+                    branch.events for branch in want if branch.final_state.interp == final
+                ]
+            for formula in _formulas(theory):
+                value = prob_formula(theory, context, formula)
+                assert isinstance(value, Fraction)
+                assert value == reference.prob_formula(theory, context, formula)
+            # The reference's distribution is the same under every policy
+            # (criterion 2), so one reference tree serves all of them.
+            dist = reference.distribution(reference.build_tree(theory, context))
+            for policy in all_policies(theory):
+                assert distribution(build_tree(theory, context, policy=list(policy))) == dist
+
+    def test_equality_hash_repr_pickle_and_deepcopy_go_by_the_views(self, bogus):
+        states = {node.state for node in build_tree(bogus).nodes()}
+        for branch in enumerate_branches(bogus, frozenset()):
+            states.update(branch.states)
+        for state in states:
+            interp, fired, over = _state_views(state)
+            assert hash(state) == hash((interp, fired, over))
+            assert repr(state) == f"State(interp={interp!r}, fired={fired!r}, over={over!r})"
+            for clone in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+                assert clone == state and _state_views(clone) == (interp, fired, over)
+        assert len(states) == len({_state_views(state) for state in states})
+
+    def test_states_cross_equal_theory_objects_through_their_views(self, suzy):
+        twin = load_theory(corpus.read_text("suzy_billy.cpl"))
+        assert twin is not suzy and twin.numbering is not suzy.numbering
+        ctx = interp("throws_suzy throws_billy")
+        root = initial_state(suzy, ctx)
+        assert initial_state(twin, ctx) == root
+        step = fire(twin, root, twin.law("r2"), Atom("shatters"))
+        assert step == fire(suzy, root, suzy.law("r2"), Atom("shatters"))
+        assert law_status(twin, step, twin.law("r1")) is LawStatus.APPLICABLE
+
+    def test_threads_reading_views_of_fresh_states_get_equal_values(self):
+        # Shared states whose views and overestimates nobody has read yet.
+        states = [node.state for node in build_tree(_chain(60, ":1/2"), interp("a0")).nodes()]
+        workers = 6
+        barrier = threading.Barrier(workers)
+        got: list = [None] * workers
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            got[slot] = [_state_views(state) for state in states]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(values == got[0] for values in got)
+        assert got[0][0] == (interp("a0"), frozenset(), interp(" ".join(f"a{i}" for i in range(61))))
+
+
+class TestOnDemandOverestimate:
+    """A state runs the full fixpoint only when something reads its
+    overestimate and it could not keep its parent's."""
+
+    DEPTH = 200
+
+    @pytest.fixture
+    def fixpoints(self, monkeypatch):
+        counts = Counter()
+        original = engine.overestimate
+
+        def counting(*args):
+            counts["overestimate"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, "overestimate", counting)
+        return counts
+
+    def test_a_long_chain_runs_no_fixpoint_after_the_root(self, fixpoints):
+        theory = _chain(self.DEPTH, ":9/10")
+        tree = build_tree(theory, interp("a0"))
+        assert sum(1 for _ in tree.nodes()) == 2 * self.DEPTH + 1
+        assert fixpoints["overestimate"] <= 1
+        fixpoints.clear()
+        goal = FormulaAtom(Atom(f"a{self.DEPTH}"))
+        assert prob_formula(theory, interp("a0"), goal) == Fraction(9, 10) ** self.DEPTH
+        assert fixpoints["overestimate"] <= 1
+
+    def test_a_child_computes_its_overestimate_once_when_read(self, fixpoints):
+        theory = load_theory("exogenous c.\na:1/2 <- c.\nb <- a.\n")
+        root = initial_state(theory, interp("c"))
+        assert root.over == interp("a b c") and fixpoints["overestimate"] == 1
+        kept = fire(theory, root, theory.law("r1"), Atom("a"))
+        assert kept.over_bits is root.over_bits
+        lost = fire(theory, root, theory.law("r1"), NO_EFFECT)
+        assert fixpoints["overestimate"] == 1
+        assert lost.over == interp("c") and lost.over_bits == lost.interp_bits
+        assert fixpoints["overestimate"] == 2
+
+    def test_build_tree_memory_on_a_deterministic_chain(self):
+        theory = _chain(1000)
+        theory.numbering, theory.body_index  # built before tracing
+        tracemalloc.start()
+        try:
+            tree = build_tree(theory, interp("a0"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.root.law.label == "r1"
+        assert peak < 8 * 2**20

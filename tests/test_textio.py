@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, serialization round-trips and DOT export."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,8 @@ from cplogic.errors import (
 from cplogic.textio import (
     MAX_FORMULA_NESTING,
     export_tree_dot,
+    format_interp,
+    interp_formatter,
     load_theory,
     parse_context,
     parse_formula,
@@ -269,3 +272,13 @@ class TestDotExport:
         assert dot.count("->") == 2
         assert dot.count("[label=") - 2 == 3
         assert "coh: change_of_heart 1/2" in dot
+
+    def test_mask_formatter_writes_what_format_interp_writes(self):
+        theory = load_theory("exogenous b, a10, a9.\nzz <- b.\nc_1:1/2; a:1/2 <- ~zz, a9.\n")
+        numbering = theory.numbering
+        text = interp_formatter(numbering)
+        atoms = numbering.atoms
+        for k in range(len(atoms) + 1):
+            for chosen in combinations(atoms, k):
+                assert text(numbering.atom_mask(chosen)) == format_interp(frozenset(chosen))
+        assert interp_formatter(load_theory("").numbering)(0) == "{}"
