@@ -20,9 +20,9 @@ none of them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import (
     Atom,
@@ -30,9 +30,11 @@ from .core import (
     HeadAlternative,
     Literal,
     Probability,
+    Record,
     Theory,
     check_known,
     literal_formula,
+    setfield,
 )
 from .engine import (
     NO_EFFECT,
@@ -52,22 +54,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class CauseQuery:
+class CauseQuery(Record):
     """A candidate cause and an effect, both literals."""
 
-    cause: Literal
-    effect: Literal
+    __slots__ = ("cause", "effect")
 
-    def __post_init__(self):
-        if self.cause == self.effect:
+    def __init__(self, cause: Literal, effect: Literal):
+        if cause == effect:
             raise SelfCauseQueryError(
-                f"cause and effect are the same literal: {self.cause}"
+                f"cause and effect are the same literal: {cause}"
             )
+        setfield(self, "cause", cause)
+        setfield(self, "effect", effect)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a complete-information query, with its full witness.
 
     ``is_cause`` holds exactly when ``effect_prob`` is zero: preventing
@@ -75,12 +76,16 @@ class Verdict:
     effect to occur.
     """
 
-    is_cause: bool
-    cut_index: int
-    relevant: Theory
-    counterfactual: Theory
-    context: frozenset
-    effect_prob: Probability
+    __slots__ = ("is_cause", "cut_index", "relevant", "counterfactual", "context", "effect_prob")
+
+    def __init__(self, is_cause: bool, cut_index: int, relevant: Theory, counterfactual: Theory,
+                 context: frozenset, effect_prob: Probability):
+        setfield(self, "is_cause", is_cause)
+        setfield(self, "cut_index", cut_index)
+        setfield(self, "relevant", relevant)
+        setfield(self, "counterfactual", counterfactual)
+        setfield(self, "context", context)
+        setfield(self, "effect_prob", effect_prob)
 
 
 class CauseClassification(enum.Enum):
@@ -89,13 +94,15 @@ class CauseClassification(enum.Enum):
     NOT_POSSIBLE = "not-possible"
 
 
-@dataclass(frozen=True)
-class PartialVerdict:
+class PartialVerdict(Record):
     """Partial-information outcome: cause in all / some / none of the branches."""
 
-    classification: CauseClassification
-    supporting: int
-    branches: int
+    __slots__ = ("classification", "supporting", "branches")
+
+    def __init__(self, classification: CauseClassification, supporting: int, branches: int):
+        setfield(self, "classification", classification)
+        setfield(self, "supporting", supporting)
+        setfield(self, "branches", branches)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,8 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
     outcome from the same body. A law that fired without visible effect
     is dropped entirely. Events whose law is not part of ``theory`` are
     ignored, so a branch of a larger theory can be applied to a
-    restriction of it.
+    restriction of it. A fired law that already is deterministic is
+    kept as it is, and a theory whose laws all stay is returned itself.
     """
     realized: dict[str, object] = {}
     for event in branch.events:
@@ -135,10 +143,14 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
         outcome = realized[law.label]
         if outcome is NO_EFFECT:
             continue
-        laws.append(CPLaw(
-            (HeadAlternative(outcome, Fraction(1)),), law.body, law.label
-        ))
-    return Theory(tuple(laws), theory.exogenous)
+        alt = law.head[0]
+        if len(law.head) == 1 and alt.prob == 1 and not alt.symbolic:
+            laws.append(law)  # already the deterministic law for its outcome
+        else:
+            laws.append(CPLaw(
+                (HeadAlternative(outcome, Fraction(1)),), law.body, law.label
+            ))
+    return _with_laws(theory, laws)
 
 
 def prevent(theory: Theory, atom: Atom) -> Theory:
@@ -146,7 +158,8 @@ def prevent(theory: Theory, atom: Atom) -> Theory:
 
     Remaining head probabilities are kept as they are (not
     renormalized); the freed mass becomes a no-effect possibility. Laws
-    whose head becomes empty disappear.
+    whose head becomes empty disappear. A theory in none of whose heads
+    the atom appears is returned itself.
     """
     laws = []
     for law in theory.laws:
@@ -155,6 +168,15 @@ def prevent(theory: Theory, atom: Atom) -> Theory:
             laws.append(law)
         elif kept:
             laws.append(CPLaw(kept, law.body, law.label))
+    return _with_laws(theory, laws)
+
+
+def _with_laws(theory: Theory, laws: list[CPLaw]) -> Theory:
+    """``theory`` with its laws replaced by ``laws``: the input object
+    itself when they are its own laws, so that its numbering and body
+    index, computed once per theory object, are reused."""
+    if len(laws) == len(theory.laws) and all(map(operator.is_, laws, theory.laws)):
+        return theory
     return Theory(tuple(laws), theory.exogenous)
 
 
@@ -236,7 +258,9 @@ def effect_index(branch: Branch, effect: Literal) -> int:
     raise EffectNeverHoldsError(f"{effect} never starts to hold along the branch")
 
 
-def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
+def relevant_theory(
+    theory: Theory, branch: Branch, effect: Literal, index: int | None = None
+) -> Theory:
     """The laws that matter for how the effect came about.
 
     Keeps the laws that fired strictly before the effect arose and the
@@ -244,9 +268,11 @@ def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
     impossibility is judged in the state the effect-producing event
     fired from; for a negative effect, in the state where the atom left
     the overestimate (the moment the absence became settled). Law
-    objects are shared with the input theory, not copied.
+    objects are shared with the input theory, not copied, and when
+    every law is kept the input theory itself is returned. ``index``
+    is ``effect_index(branch, effect)`` when the caller has it already.
     """
-    j = effect_index(branch, effect)
+    j = effect_index(branch, effect) if index is None else index
     fired_before = {event.label for event in branch.events[:j]}
     cut = branch.states[j] if not effect.positive else branch.states[max(j - 1, 0)]
     keep = []
@@ -255,7 +281,7 @@ def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
             keep.append(law)
         elif law_status(theory, cut, law) is LawStatus.IMPOSSIBLE:
             keep.append(law)
-    return Theory(tuple(keep), theory.exogenous)
+    return _with_laws(theory, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +293,7 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
     _require_holds((query.cause, query.effect), branch.final_state)
     j = effect_index(branch, query.effect)
-    relevant = relevant_theory(theory, branch, query.effect)
+    relevant = relevant_theory(theory, branch, query.effect, j)
     counterfactual, context, prob = _counterfactual(
         theory, fix_story(relevant, branch), branch, query.cause, query.effect
     )

@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from typing import Iterator
 
 from .causation import (
     CauseQuery,
     actual_cause,
     classify_causes,
 )
-from .core import Theory, validate_theory
+from .core import Theory, fraction_text, validate_theory
 from .engine import (
     ExecutionTree,
     build_tree,
-    distribution,
+    distribution_bits,
     prob_formula,
     replay_story,
 )
@@ -52,13 +53,22 @@ def _read(path: str) -> str:
 
 
 def _decimal(value: Fraction) -> str:
+    """Six significant digits, as ``float`` formats them. Below the normal
+    float range, where a float loses digits and then flushes to 0, they
+    are rounded exactly from the fraction instead."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{float(value):.6g}"
+        return fraction_text(value)
+    approx = float(value)
+    if approx >= sys.float_info.min:
+        return f"{approx:.6g}"
+    exact = Context(prec=6, Emin=MIN_EMIN, Emax=MAX_EMAX).divide(
+        Decimal(value.numerator), Decimal(value.denominator)
+    )
+    return f"{exact:.6g}"
 
 
 def _prob_text(value: Fraction) -> str:
-    return f"{value} ({_decimal(value)})"
+    return f"{fraction_text(value)} ({_decimal(value)})"
 
 
 def _warn_symbolic(theory: Theory) -> None:
@@ -122,7 +132,7 @@ def _render_tree(tree: ExecutionTree) -> Iterator[str]:
         yield f"{pad}{interp_text(node.state.interp_bits)}"
         for edge in reversed(node.edges):
             stack.append((edge.child, depth + 2))
-            stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({edge.prob})")
+            stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({fraction_text(edge.prob)})")
 
 
 def cmd_tree(args) -> int:
@@ -137,7 +147,8 @@ def cmd_tree(args) -> int:
     for line in _render_tree(tree):
         print(line)
     print("distribution over final states:")
-    rows = sorted((-mass, format_interp(interp)) for interp, mass in distribution(tree).items())
+    interp_text = interp_formatter(tree.theory.numbering)
+    rows = sorted((-mass, interp_text(bits)) for bits, mass in distribution_bits(tree).items())
     for mass, text in rows:
         print(f"  {text}: {_prob_text(-mass)}")
     return 0

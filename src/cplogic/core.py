@@ -3,15 +3,22 @@
 Atoms, literals, annotated heads, laws, theories and propositional
 formulas, plus structural validation. Every value is immutable after
 construction and safe to share; validation is a pure function.
+
+The package's value types are ``Record`` subclasses: slotted classes
+whose fields are their ``__slots__``, with equality, hashing, ``repr``
+and pickling by field value. Each writes its fields once in its own
+``__init__`` through ``setfield``; after that, assignment and deletion
+raise ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import deque, namedtuple
+from collections.abc import Iterable, Set as AbstractSet
+from decimal import Decimal
 from fractions import Fraction
-from typing import AbstractSet, Iterable, NamedTuple
+from operator import attrgetter
 
 from .errors import UnknownAtomError, UnknownLabelError, ValidationError
 
@@ -19,6 +26,16 @@ from .errors import UnknownAtomError, UnknownLabelError, ValidationError
 # terms with a positive denominator, which the engine's exact zero tests
 # depend on; no floats appear anywhere in the semantics.
 Probability = Fraction
+
+
+def fraction_text(value: Fraction) -> str:
+    """``str(value)``, however many digits it has."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal converts exactly
+        if value.denominator == 1:
+            return str(Decimal(value.numerator))
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 class compute_once:
@@ -41,10 +58,62 @@ class compute_once:
         if instance is None:
             return self
         # A non-data descriptor: once stored, the instance attribute
-        # shadows it. Writing __dict__ directly also works on frozen
-        # dataclasses.
+        # shadows it. Writing __dict__ directly also works on records,
+        # whose __setattr__ refuses every write.
         value = instance.__dict__[self.name] = self.func(instance)
         return value
+
+
+#: Writes one field in a record's ``__init__``, past the refusing
+#: ``Record.__setattr__``.
+setfield = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value types: fields by value, no writes.
+
+    A subclass names its fields in ``__slots__`` (plus ``"__dict__"``
+    when it has ``compute_once`` attributes) and stores each of them in
+    its own ``__init__`` with ``setfield``; the positional order of
+    ``__init__`` is the order of the slots, which pickling relies on.
+    Two records are equal when they are of the same class and their
+    fields are equal; the hash is that of the field values, and
+    ``repr`` reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = fields = cls._fields + tuple(name for name in own if name != "__dict__")
+        # attrgetter of two or more names returns a tuple, in C.
+        cls._values = staticmethod(
+            attrgetter(*fields) if len(fields) > 1
+            else lambda record: tuple([getattr(record, name) for name in fields])
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -106,12 +175,14 @@ class Atom:
 Interpretation = frozenset
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """An atom or its negation, as used in law bodies and cause/effect queries."""
 
-    atom: Atom
-    positive: bool = True
+    __slots__ = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True):
+        setfield(self, "atom", atom)
+        setfield(self, "positive", positive)
 
     def holds_in(self, interp: AbstractSet[Atom]) -> bool:
         return (self.atom in interp) == self.positive
@@ -123,8 +194,7 @@ class Literal:
         return self.atom.name if self.positive else f"~{self.atom.name}"
 
 
-@dataclass(frozen=True)
-class HeadAlternative:
+class HeadAlternative(Record):
     """One possible outcome of a law's event, with its exact probability.
 
     ``symbolic`` marks probabilities that were written as ``*`` in the
@@ -133,13 +203,15 @@ class HeadAlternative:
     does not influence them.
     """
 
-    atom: Atom
-    prob: Probability
-    symbolic: bool = False
+    __slots__ = ("atom", "prob", "symbolic")
+
+    def __init__(self, atom: Atom, prob: Probability, symbolic: bool = False):
+        setfield(self, "atom", atom)
+        setfield(self, "prob", prob)
+        setfield(self, "symbolic", symbolic)
 
 
-@dataclass(frozen=True)
-class CPLaw:
+class CPLaw(Record):
     """A causal probabilistic law.
 
     When the body holds, a one-shot event fires and realizes at most one
@@ -148,13 +220,15 @@ class CPLaw:
     None until validation assigns one.
     """
 
-    head: tuple[HeadAlternative, ...]
-    body: tuple[Literal, ...] = ()
-    label: str | None = None
+    __slots__ = ("head", "body", "label", "__dict__")
 
-    def __post_init__(self):
-        if not self.head:
+    def __init__(self, head: tuple[HeadAlternative, ...], body: tuple[Literal, ...] = (),
+                 label: str | None = None):
+        if not head:
             raise ValueError("a law needs at least one head alternative")
+        setfield(self, "head", head)
+        setfield(self, "body", body)
+        setfield(self, "label", label)
 
     @compute_once
     def head_atoms(self) -> frozenset[Atom]:
@@ -181,7 +255,7 @@ class CPLaw:
         return frozenset(lit.atom for lit in self.body if not lit.positive)
 
     def with_label(self, label: str) -> "CPLaw":
-        return replace(self, label=label)
+        return CPLaw(self.head, self.body, label)
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -264,24 +338,23 @@ class Numbering:
         return frozenset([labels[i] for i in bit_positions(mask)])
 
 
-class BodyIndex(NamedTuple):
-    """Atom -> positions in ``Theory.laws`` of the laws that use it.
+BodyIndex = namedtuple("BodyIndex", ("positive", "negative"))
+BodyIndex.__doc__ = """Atom -> positions in ``Theory.laws`` of the laws that use it.
 
-    ``positive`` lists the laws with the atom in their positive body,
-    ``negative`` those with it negated, in ascending order. Atoms no
-    body mentions have no entry. The lists are shared: read them only.
-    """
-
-    positive: dict
-    negative: dict
+``positive`` lists the laws with the atom in their positive body,
+``negative`` those with it negated, in ascending order. Atoms no
+body mentions have no entry. The lists are shared: read them only.
+"""
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """A finite, ordered set of laws plus the declared exogenous atoms."""
 
-    laws: tuple[CPLaw, ...] = ()
-    exogenous: frozenset[Atom] = frozenset()
+    __slots__ = ("laws", "exogenous", "__dict__")
+
+    def __init__(self, laws: tuple[CPLaw, ...] = (), exogenous: frozenset[Atom] = frozenset()):
+        setfield(self, "laws", laws)
+        setfield(self, "exogenous", exogenous)
 
     @compute_once
     def vocabulary(self) -> frozenset[Atom]:
@@ -335,35 +408,45 @@ class Theory:
 # Propositional formulas
 
 
-class Formula:
+class Formula(Record):
     """Base class for propositional queries over a theory's vocabulary."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FormulaAtom(Formula):
-    atom: Atom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        setfield(self, "atom", atom)
 
 
-@dataclass(frozen=True)
 class Negation(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        setfield(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Conjunction(Formula):
-    parts: tuple[Formula, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Formula, ...]):
+        setfield(self, "parts", parts)
 
 
-@dataclass(frozen=True)
 class Disjunction(Formula):
-    parts: tuple[Formula, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Formula, ...]):
+        setfield(self, "parts", parts)
 
 
-@dataclass(frozen=True)
 class Constant(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
 
 TRUE = Constant(True)
@@ -438,14 +521,17 @@ DUPLICATE_LABEL = "duplicate-label"
 CONTRADICTORY_BODY = "contradictory-body"
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Record):
     """A single structural problem found while validating a theory."""
 
-    code: str
-    message: str
-    law_index: int | None = None
-    witness: tuple[Atom, ...] = ()
+    __slots__ = ("code", "message", "law_index", "witness")
+
+    def __init__(self, code: str, message: str, law_index: int | None = None,
+                 witness: tuple[Atom, ...] = ()):
+        setfield(self, "code", code)
+        setfield(self, "message", message)
+        setfield(self, "law_index", law_index)
+        setfield(self, "witness", witness)
 
 
 def validate_theory(candidate: Theory) -> Theory:
@@ -484,7 +570,7 @@ def validate_theory(candidate: Theory) -> Theory:
         if law.head_sum > 1:
             issues.append(ValidationIssue(
                 HEAD_SUM_EXCEEDS_ONE,
-                f"{where}: head probabilities sum to {law.head_sum} > 1",
+                f"{where}: head probabilities sum to {fraction_text(law.head_sum)} > 1",
                 idx,
             ))
         contradictory = law.positive_body & law.negative_body

@@ -7,47 +7,56 @@ verdicts the engine must reproduce; the test suite walks all of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
-from ..core import Theory
+from ..core import Record, Theory, setfield
 from ..textio import StoryDocument, load_theory, parse_story
 
 
-@dataclass(frozen=True)
-class ProbabilityCheck:
-    query: str
-    context: tuple[str, ...]
-    expect: str
-    note: str
+class ProbabilityCheck(Record):
+    __slots__ = ("query", "context", "expect", "note")
+
+    def __init__(self, query: str, context: tuple[str, ...], expect: str, note: str):
+        setfield(self, "query", query)
+        setfield(self, "context", context)
+        setfield(self, "expect", expect)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class CompleteCheck:
-    story: str
-    cause: str
-    effect: str
-    expect: bool
-    note: str
+class CompleteCheck(Record):
+    __slots__ = ("story", "cause", "effect", "expect", "note")
+
+    def __init__(self, story: str, cause: str, effect: str, expect: bool, note: str):
+        setfield(self, "story", story)
+        setfield(self, "cause", cause)
+        setfield(self, "effect", effect)
+        setfield(self, "expect", expect)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class PartialCheck:
-    outcome: tuple[str, ...]
-    effect: str
-    candidate: str
-    expect: str
-    note: str
+class PartialCheck(Record):
+    __slots__ = ("outcome", "effect", "candidate", "expect", "note")
+
+    def __init__(self, outcome: tuple[str, ...], effect: str, candidate: str, expect: str, note: str):
+        setfield(self, "outcome", outcome)
+        setfield(self, "effect", effect)
+        setfield(self, "candidate", candidate)
+        setfield(self, "expect", expect)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    theory_file: str
-    story_files: tuple[str, ...]
-    probabilities: tuple[ProbabilityCheck, ...]
-    complete: tuple[CompleteCheck, ...]
-    partial: tuple[PartialCheck, ...]
+class CorpusEntry(Record):
+    __slots__ = ("name", "theory_file", "story_files", "probabilities", "complete", "partial")
+
+    def __init__(self, name: str, theory_file: str, story_files: tuple[str, ...],
+                 probabilities: tuple[ProbabilityCheck, ...], complete: tuple[CompleteCheck, ...],
+                 partial: tuple[PartialCheck, ...]):
+        setfield(self, "name", name)
+        setfield(self, "theory_file", theory_file)
+        setfield(self, "story_files", story_files)
+        setfield(self, "probabilities", probabilities)
+        setfield(self, "complete", complete)
+        setfield(self, "partial", partial)
 
 
 def read_text(filename: str) -> str:

@@ -31,9 +31,8 @@ scratch; the walkers call the latter only at the root.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence, Set as AbstractSet
 from fractions import Fraction
-from typing import TYPE_CHECKING, AbstractSet, Iterator, Sequence
 
 from .core import (
     Atom,
@@ -41,12 +40,14 @@ from .core import (
     Formula,
     Numbering,
     Probability,
+    Record,
     Theory,
     bit_positions,
     check_known,
     compute_once,
     eval_formula,
     formula_atoms,
+    setfield,
 )
 from .errors import (
     IllegalStepError,
@@ -55,6 +56,7 @@ from .errors import (
     NotApplicableError,
 )
 
+TYPE_CHECKING = False  # true only for a static type checker
 if TYPE_CHECKING:  # pragma: no cover
     from .textio import StoryDocument
 
@@ -146,23 +148,27 @@ class State:
         return State, (self.theory, self.interp_bits, self.fired_bits, self.over_bits)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One step of a branch: which law fired and what it realized."""
 
-    label: str
-    outcome: Outcome
+    __slots__ = ("label", "outcome")
+
+    def __init__(self, label: str, outcome: Outcome):
+        setfield(self, "label", label)
+        setfield(self, "outcome", outcome)
 
     def __str__(self) -> str:
         return f"{self.label} -> {self.outcome}"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """A root-to-node path: successive states plus the events between them."""
 
-    states: tuple[State, ...]
-    events: tuple[Event, ...]
+    __slots__ = ("states", "events")
+
+    def __init__(self, states: tuple[State, ...], events: tuple[Event, ...]):
+        setfield(self, "states", states)
+        setfield(self, "events", events)
 
     @property
     def final_state(self) -> State:
@@ -172,30 +178,36 @@ class Branch:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    outcome: Outcome
-    prob: Probability
-    child: "TreeNode"
+class TreeEdge(Record):
+    __slots__ = ("outcome", "prob", "child")
+
+    def __init__(self, outcome: Outcome, prob: Probability, child: TreeNode):
+        setfield(self, "outcome", outcome)
+        setfield(self, "prob", prob)
+        setfield(self, "child", child)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Record):
     """An execution-tree node; internal nodes record the law that fired."""
 
-    state: State
-    law: CPLaw | None
-    edges: tuple[TreeEdge, ...]
+    __slots__ = ("state", "law", "edges")
+
+    def __init__(self, state: State, law: CPLaw | None, edges: tuple[TreeEdge, ...]):
+        setfield(self, "state", state)
+        setfield(self, "law", law)
+        setfield(self, "edges", edges)
 
     @property
     def is_leaf(self) -> bool:
         return not self.edges
 
 
-@dataclass(frozen=True)
-class ExecutionTree:
-    theory: Theory
-    root: TreeNode
+class ExecutionTree(Record):
+    __slots__ = ("theory", "root")
+
+    def __init__(self, theory: Theory, root: TreeNode):
+        setfield(self, "theory", theory)
+        setfield(self, "root", root)
 
     def nodes(self) -> Iterator[TreeNode]:
         stack = [self.root]
@@ -566,14 +578,20 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
     return Branch(tuple(states), tuple(events))
 
 
-def distribution(tree: ExecutionTree) -> Distribution:
-    """Aggregate leaf probability mass by final interpretation."""
+def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
+    """Leaf probability mass by final ``interp_bits``, masks over the
+    tree theory's numbering."""
     by_bits: dict = {}
     for leaf, mass in tree.leaves_with_mass():
         interp = leaf.state.interp_bits
         by_bits[interp] = by_bits.get(interp, _ZERO) + mass
+    return by_bits
+
+
+def distribution(tree: ExecutionTree) -> Distribution:
+    """Aggregate leaf probability mass by final interpretation."""
     numbering = tree.theory.numbering
-    return {numbering.atom_set(interp): mass for interp, mass in by_bits.items()}
+    return {numbering.atom_set(interp): mass for interp, mass in distribution_bits(tree).items()}
 
 
 def prob_formula(

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Set as AbstractSet
 from fractions import Fraction
 from itertools import compress
-from typing import AbstractSet, Callable
 
 from .core import (
     TRUE,
@@ -49,13 +48,17 @@ from .core import (
     Negation,
     Numbering,
     Probability,
+    Record,
     Theory,
+    fraction_text,
+    setfield,
     validate_theory,
 )
 from .engine import (
     NO_EFFECT,
     Branch,
     ExecutionTree,
+    Outcome,
     outcome_probability,
 )
 from .errors import (
@@ -160,13 +163,15 @@ class _Scanner:
 # Theories
 
 
-@dataclass(frozen=True)
-class TheoryDocument:
+class TheoryDocument(Record):
     """Parse result: the candidate theory plus per-law source lines."""
 
-    source: str
-    theory: Theory
-    law_lines: tuple[int, ...]
+    __slots__ = ("source", "theory", "law_lines")
+
+    def __init__(self, source: str, theory: Theory, law_lines: tuple[int, ...]):
+        setfield(self, "source", source)
+        setfield(self, "theory", theory)
+        setfield(self, "law_lines", law_lines)
 
 
 def _strip_comment(raw: str) -> str:
@@ -234,19 +239,23 @@ def _parse_body_literal(sc: _Scanner) -> Literal:
 # Stories
 
 
-@dataclass(frozen=True)
-class StoryStep:
-    label: str
-    outcome: object  # Atom or NoEffect
-    line: int = 0
+class StoryStep(Record):
+    __slots__ = ("label", "outcome", "line")
+
+    def __init__(self, label: str, outcome: Outcome, line: int = 0):
+        setfield(self, "label", label)
+        setfield(self, "outcome", outcome)
+        setfield(self, "line", line)
 
 
-@dataclass(frozen=True)
-class StoryDocument:
+class StoryDocument(Record):
     """A parsed story: initial context plus the ordered event steps."""
 
-    context: frozenset
-    steps: tuple[StoryStep, ...]
+    __slots__ = ("context", "steps")
+
+    def __init__(self, context: frozenset, steps: tuple[StoryStep, ...]):
+        setfield(self, "context", context)
+        setfield(self, "steps", steps)
 
 
 def parse_story(text: str, theory: Theory) -> StoryDocument:
@@ -379,7 +388,7 @@ def _format_prob(alt: HeadAlternative) -> str:
         return f"{alt.atom.name}:*"
     if alt.prob == 1:
         return alt.atom.name
-    return f"{alt.atom.name}:{alt.prob}"
+    return f"{alt.atom.name}:{fraction_text(alt.prob)}"
 
 
 def format_interp(interp: AbstractSet[Atom]) -> str:
@@ -446,7 +455,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
-                text += f" {outcome_probability(law_of(event.label), event.outcome)}"
+                text += f" {fraction_text(outcome_probability(law_of(event.label), event.outcome))}"
             lines.append(f'  n{i} -> n{i + 1} [label="{text}"];')
     elif isinstance(tree, ExecutionTree):
         # Pre-order numbering with an explicit stack. A node's entry
@@ -468,7 +477,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
                 parent, text = into
                 stack.append(f'  n{parent} -> n{ident} [label="{text}"];')
             for edge in reversed(node.edges):
-                stack.append((edge.child, (ident, f"{node.law.label}: {edge.outcome} {edge.prob}")))
+                stack.append((edge.child, (ident, f"{node.law.label}: {edge.outcome} {fraction_text(edge.prob)}")))
     else:
         raise TypeError(f"cannot export {type(tree).__name__} as DOT")
     lines.append("}")

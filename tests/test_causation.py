@@ -8,6 +8,7 @@ from cplogic import corpus
 from cplogic.causation import (
     CauseClassification,
     CauseQuery,
+    Verdict,
     actual_cause,
     classify_causes,
     counterfactual_dependency,
@@ -17,10 +18,13 @@ from cplogic.causation import (
     prevent,
     relevant_theory,
 )
-from cplogic.core import Atom, CPLaw, HeadAlternative, Literal, Theory
+from cplogic.core import Atom, CPLaw, HeadAlternative, Literal, Theory, literal_formula
 from cplogic.engine import (
+    NO_EFFECT,
     Branch,
+    LawStatus,
     enumerate_branches,
+    law_status,
     prob_formula,
     replay_story,
 )
@@ -495,3 +499,105 @@ class TestUnknownQueryAtoms:
             classify_causes(suzy, outcome, lit("shatters"), candidates=[lit("zzz"), lit("~zzz")])
         with pytest.raises(UnknownAtomError, match="query mentions unknown atoms: zzz"):
             classify_causes(suzy, outcome, lit("~zzz"))
+
+
+def _minting_verdict(theory, branch, query):
+    """``actual_cause`` with a counterfactual step that always builds
+    fresh laws and theories, as it did before unchanged ones were reused."""
+    cause, effect = query.cause, query.effect
+    j = effect_index(branch, effect)
+    cut = branch.states[j] if not effect.positive else branch.states[max(j - 1, 0)]
+    fired_before = {event.label for event in branch.events[:j]}
+    relevant = Theory(tuple(
+        law for law in theory.laws
+        if law.label in fired_before or law_status(theory, cut, law) is LawStatus.IMPOSSIBLE
+    ), theory.exogenous)
+    realized = {event.label: event.outcome for event in branch.events}
+    fixed = []
+    for law in relevant.laws:
+        outcome = realized.get(law.label, law)
+        if outcome is law:
+            fixed.append(law)
+        elif outcome is not NO_EFFECT:
+            fixed.append(CPLaw((HeadAlternative(outcome, Fraction(1)),), law.body, law.label))
+    fixed = Theory(tuple(fixed), theory.exogenous)
+    context = branch.states[0].interp
+    if cause.positive:
+        laws = []
+        for law in fixed.laws:
+            kept = tuple(alt for alt in law.head if alt.atom is not cause.atom)
+            if kept:
+                laws.append(CPLaw(kept, law.body, law.label))
+        twisted, context = Theory(tuple(laws), fixed.exogenous), context - {cause.atom}
+    elif cause.atom in theory.exogenous:
+        twisted, context = Theory(fixed.laws, fixed.exogenous), context | {cause.atom}
+    else:
+        twisted = force(fixed, cause.atom)
+    prob = prob_formula(twisted, context, literal_formula(effect), vocabulary=theory.vocabulary)
+    return Verdict(prob == 0, j, relevant, twisted, context, prob)
+
+
+class TestCounterfactualReuse:
+    """The counterfactual step returns its input theory when it keeps
+    every law, so an unchanged theory is numbered once."""
+
+    @pytest.fixture
+    def chain(self):
+        theory = load_theory("exogenous a0.\n" + "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 6)))
+        story = parse_story("context a0.\n" + "".join(f"r{i} -> a{i}.\n" for i in range(1, 6)), theory)
+        return theory, replay_story(theory, story)
+
+    def test_deterministic_chain_keeps_the_theory_object(self, chain):
+        theory, branch = chain
+        verdict = actual_cause(theory, branch, CauseQuery(lit("a0"), lit("a5")))
+        assert verdict.is_cause and verdict.cut_index == 5
+        assert verdict.relevant is theory
+        assert verdict.counterfactual is theory
+        assert verdict.context == frozenset()
+        assert verdict == _minting_verdict(theory, branch, CauseQuery(lit("a0"), lit("a5")))
+
+    def test_each_step_returns_an_unchanged_input(self, chain, suzy):
+        theory, branch = chain
+        assert relevant_theory(theory, branch, lit("a5")) is theory
+        assert fix_story(theory, branch) is theory
+        assert prevent(theory, Atom("a0")) is theory
+        assert prevent(suzy, Atom("throws_suzy")) is suzy
+        empty = replay_story(suzy, parse_story("context throws_suzy.\n", suzy))
+        assert fix_story(suzy, empty) is suzy
+
+    def test_changed_steps_return_new_theories_sharing_kept_laws(self, chain, suzy, suzy_branch):
+        theory, branch = chain
+        cut = relevant_theory(theory, branch, lit("a3"))
+        assert [law.label for law in cut.laws] == ["r1", "r2", "r3"]
+        assert all(law is theory.law(law.label) for law in cut.laws)
+        trimmed = prevent(theory, Atom("a2"))
+        assert trimmed is not theory and len(trimmed.laws) == 4
+        fixed = fix_story(suzy, suzy_branch)
+        assert fixed is not suzy and fixed.laws[0] is not suzy.laws[0]
+        assert fix_story(fixed, suzy_branch) is fixed  # its fired laws are deterministic already
+
+    def test_verdicts_match_a_minting_step_on_random_theories(self):
+        from randgen import random_cases
+
+        checked = 0
+        for theory, context in random_cases(200):
+            branches = list(enumerate_branches(theory, context))
+            for branch in branches[::max(1, len(branches) // 3)]:
+                final = branch.final_state.interp
+                holding = [Literal(a) for a in sorted(final)]
+                holding += [Literal(a, False) for a in sorted(theory.vocabulary - final)]
+                for effect in holding:
+                    for cause in holding:
+                        if cause == effect:
+                            continue
+                        query = CauseQuery(cause, effect)
+                        try:
+                            want = _minting_verdict(theory, branch, query)
+                        except Exception as err:  # the step must raise the same error
+                            with pytest.raises(type(err)):
+                                actual_cause(theory, branch, query)
+                            continue
+                        got = actual_cause(theory, branch, query)
+                        assert got == want
+                        checked += 1
+        assert checked > 1000

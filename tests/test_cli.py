@@ -3,14 +3,15 @@
 import inspect
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from cplogic import corpus
-from cplogic.cli import _render_tree, main
-from cplogic.engine import build_tree
-from cplogic.textio import load_theory, parse_context
+from cplogic.cli import _prob_text, _render_tree, main
+from cplogic.engine import build_tree, distribution
+from cplogic.textio import format_interp, load_theory, parse_context
 
 
 @pytest.fixture
@@ -299,3 +300,74 @@ class TestStreamedTree:
         assert inspect.isgenerator(lines)
         assert next(lines) == "{throws_billy, throws_suzy}"
         assert next(lines) == "  r1 -> shatters (9/10)"
+
+
+class TestTreeRows:
+    def test_rows_match_the_distribution_on_the_corpus(self, tmp_path, capsys):
+        footer = "distribution over final states:\n"
+        for entry in corpus.entries():
+            text = corpus.read_text(entry.theory_file)
+            path = tmp_path / entry.theory_file
+            path.write_text(text, encoding="utf-8")
+            theory = load_theory(text)
+            for context in (frozenset(), theory.exogenous):
+                names = ",".join(sorted(a.name for a in context))
+                assert main(["tree", str(path), "--context", names]) == 0
+                rows = capsys.readouterr().out.split(footer)[1]
+                dist = distribution(build_tree(theory, context))
+                want = sorted((-mass, format_interp(interp)) for interp, mass in dist.items())
+                assert rows == "".join(f"  {text}: {_prob_text(-mass)}\n" for mass, text in want)
+
+
+class TestLongValues:
+    """Exact values print in full, however many digits they have."""
+
+    def test_chain_value_past_the_int_digit_limit(self, tmp_path, capsys):
+        depth = 4400
+        lines = ["exogenous a0."] + [f"a{i}:9/10 <- a{i - 1}." for i in range(1, depth + 1)]
+        path = tmp_path / "chain.cpl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        assert 0 < limit < depth
+        assert main(["prob", str(path), "--query", f"a{depth}", "--context", "a0"]) == 0
+        decimal = f"{float(Fraction(9, 10) ** depth):.6g}"
+        assert capsys.readouterr().out == f"{9 ** depth}/1{'0' * depth} ({decimal})\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_value_below_the_float_range_keeps_its_digits(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cpl"
+        path.write_text(f"a:1/3.\nb:1/1{'0' * 400} <- a.\n", encoding="utf-8")
+        assert main(["prob", str(path), "--query", "b"]) == 0
+        assert capsys.readouterr().out == f"1/3{'0' * 400} (3.33333e-401)\n"
+
+    def test_probability_past_the_int_digit_limit_prints_in_full(self, tmp_path, capsys):
+        # 4300 decimals parse (the numeral is at the limit), but the
+        # reduced denominator 10**4300 has 4301 digits.
+        path = tmp_path / "long.cpl"
+        path.write_text("a:0." + "1" * 4300 + ".\n", encoding="utf-8")
+        exact = f"{'1' * 4300}/1{'0' * 4300}"
+        assert main(["validate", str(path)]) == 0
+        assert f"a:{exact}." in capsys.readouterr().out
+        assert main(["tree", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"  r1 -> a ({exact})\n" in out and f"  {{a}}: {exact} (0.111111)\n" in out
+        assert main(["tree", str(path), "--dot"]) == 0
+        assert f'[label="r1: a {exact}"]' in capsys.readouterr().out
+
+    def test_head_sum_past_the_int_digit_limit_is_reported(self, tmp_path, capsys):
+        q, r = 10 ** 2200 + 1, 10 ** 2200 + 3
+        path = tmp_path / "sum.cpl"
+        path.write_text(f"a:{q - 1}/{q}; b:{r - 1}/{r}.\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        total = Fraction(q - 1, q) + Fraction(r - 1, r)
+        assert total.denominator == q * r  # 4401 digits
+        err = capsys.readouterr().err
+        assert f"head probabilities sum to {Decimal(total.numerator)}/{Decimal(q * r)} > 1" in err
+
+    def test_decimal_text(self):
+        assert _prob_text(Fraction(1, 100000)) == "1/100000 (1e-05)"
+        assert _prob_text(Fraction(2, 3)) == "2/3 (0.666667)"
+        assert _prob_text(Fraction(1)) == "1 (1)"
+        # float(...) would give 1.49998e-320 here, and 0 further down.
+        assert _prob_text(Fraction(3, 2 * 10 ** 320)) == f"3/2{'0' * 320} (1.5e-320)"
+        assert _prob_text(Fraction(1, 10 ** 5000)).endswith(" (1e-5000)")

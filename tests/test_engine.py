@@ -443,6 +443,13 @@ class TestDistributionAndProb:
         dist = distribution(build_tree(theory, frozenset()))
         assert dist == {interp("a"): Fraction(1, 3), frozenset(): Fraction(2, 3)}
 
+    def test_masses_by_mask_are_the_distribution(self, suzy):
+        tree = build_tree(suzy, interp("throws_suzy throws_billy"))
+        by_bits = engine.distribution_bits(tree)
+        shattered = suzy.numbering.atom_mask(interp("throws_suzy throws_billy shatters"))
+        assert by_bits == {shattered: Fraction(49, 50), shattered & ~suzy.numbering.bit(Atom("shatters")): Fraction(1, 50)}
+        assert {suzy.numbering.atom_set(bits): mass for bits, mass in by_bits.items()} == distribution(tree)
+
     def test_formula_probability(self, suzy):
         ctx = interp("throws_suzy throws_billy")
         assert prob_formula(suzy, ctx, parse_formula("shatters")) == Fraction(49, 50)
