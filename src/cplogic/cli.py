@@ -23,6 +23,7 @@ from .engine import (
     ExecutionTree,
     build_tree,
     distribution_bits,
+    enumerate_branches,
     prob_formula,
     replay_story,
 )
@@ -184,12 +185,15 @@ def cmd_causes(args) -> int:
     theory = load_theory(_read(args.theory))
     outcome = parse_context(args.outcome)
     effect = parse_literal(args.effect)
-    context = parse_context(args.context) if args.context is not None else None
+    context = parse_context(args.context) if args.context is not None else outcome & theory.exogenous
     candidates = None
     if args.candidates is not None:
         candidates = [parse_literal(tok) for tok in args.candidates.split(",")]
     verdicts = classify_causes(theory, outcome, effect, candidates, context)
-    branches = next(iter(verdicts.values())).branches if verdicts else 0
+    if verdicts:
+        branches = next(iter(verdicts.values())).branches
+    else:  # no candidate to read the count from
+        branches = sum(1 for _ in enumerate_branches(theory, context, target=outcome))
     if branches == 0:
         print(
             "warning: no branch reaches the given outcome; every candidate "
@@ -269,7 +273,7 @@ def main(argv=None) -> int:
     except QueryError as err:
         print(f"query error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

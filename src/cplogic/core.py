@@ -14,7 +14,7 @@ raise ``AttributeError``.
 from __future__ import annotations
 
 import re
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Iterable, Set as AbstractSet
 from decimal import Decimal
 from fractions import Fraction
@@ -271,27 +271,47 @@ class Numbering:
     first appearance (exogenous atoms, then law by law, head before
     body); law ``i`` of ``Theory.laws`` is bit i of a law mask, and
     ``pos``, ``neg`` and ``head`` hold its positive body, negated body
-    and head atoms as masks. Masks mean something only within the
-    numbering that made them.
+    and head atoms as masks. ``pos_users[i]`` and ``neg_users[i]`` list,
+    in ascending order and once each, the laws whose body uses atom i
+    positively or negated; the lists are shared, so read them only.
+    Masks mean something only within the numbering that made them.
     """
 
-    __slots__ = ("atoms", "index", "labels", "position", "pos", "neg", "head", "negated")
+    __slots__ = ("atoms", "index", "labels", "position", "pos", "neg", "head", "negated", "pos_users", "neg_users")
 
     def __init__(self, theory: "Theory"):
-        index = {atom: i for i, atom in enumerate(theory.exogenous)}
+        index: dict = {}
+        pos_users: list = []
+        neg_users: list = []
+
+        def number(atom: Atom) -> int:
+            i = index.get(atom)
+            if i is None:
+                i = index[atom] = len(index)
+                pos_users.append([])
+                neg_users.append([])
+            return i
+
+        for atom in theory.exogenous:
+            number(atom)
         head: list = []
         pos: list = []
         neg: list = []
         negated = 0
-        for law in theory.laws:
+        for k, law in enumerate(theory.laws):
             h = p = q = 0
             for alt in law.head:
-                h |= 1 << index.setdefault(alt.atom, len(index))
+                h |= 1 << number(alt.atom)
             for lit in law.body:
+                i = number(lit.atom)
+                bit = 1 << i
                 if lit.positive:
-                    p |= 1 << index.setdefault(lit.atom, len(index))
-                else:
-                    q |= 1 << index.setdefault(lit.atom, len(index))
+                    if not p & bit:
+                        p |= bit
+                        pos_users[i].append(k)
+                elif not q & bit:
+                    q |= bit
+                    neg_users[i].append(k)
             head.append(h)
             pos.append(p)
             neg.append(q)
@@ -305,6 +325,8 @@ class Numbering:
         self.pos = pos
         self.neg = neg
         self.negated = negated  # atoms that some body negates
+        self.pos_users = pos_users
+        self.neg_users = neg_users
 
     def atom_mask(self, atoms: Iterable[Atom]) -> int:
         """Mask of the given atoms; atoms outside the numbering are left out."""
@@ -336,15 +358,6 @@ class Numbering:
     def label_set(self, mask: int) -> frozenset:
         labels = self.labels
         return frozenset([labels[i] for i in bit_positions(mask)])
-
-
-BodyIndex = namedtuple("BodyIndex", ("positive", "negative"))
-BodyIndex.__doc__ = """Atom -> positions in ``Theory.laws`` of the laws that use it.
-
-``positive`` lists the laws with the atom in their positive body,
-``negative`` those with it negated, in ascending order. Atoms no
-body mentions have no entry. The lists are shared: read them only.
-"""
 
 
 class Theory(Record):
@@ -381,18 +394,6 @@ class Theory(Record):
             return self._by_label[label]
         except KeyError:
             raise UnknownLabelError(f"unknown law label {label!r}") from None
-
-    @compute_once
-    def body_index(self) -> "BodyIndex":
-        """Which laws mention each atom in their body, by law position."""
-        positive: dict = {}
-        negative: dict = {}
-        for i, law in enumerate(self.laws):
-            for atom in law.positive_body:
-                positive.setdefault(atom, []).append(i)
-            for atom in law.negative_body:
-                negative.setdefault(atom, []).append(i)
-        return BodyIndex(positive, negative)
 
     @compute_once
     def numbering(self) -> "Numbering":

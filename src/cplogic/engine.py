@@ -22,10 +22,12 @@ it. Only a negated body, the target cut of ``enumerate_branches`` and
 the causation queries read it: a law without negated body is
 applicable once its positive body is true. The tree builder and the
 branch walker carry each state's applicable laws down their stacks
-and, after a step, recheck only the laws that the theory's
-``body_index`` ties to the new atom or to atoms that left the
-overestimate. ``overestimate`` and ``applicable_laws`` compute from
-scratch; the walkers call the latter only at the root.
+and, after a step, recheck only the laws that the numbering's
+``pos_users`` and ``neg_users`` tie to the new atom or to atoms that
+left the overestimate. ``overestimate`` and ``applicable_laws`` compute
+from scratch; the walkers call the latter only at the root.
+``distribution_bits``, the one fold of leaf masses, visits each shared
+tree node once; ``distribution`` and ``prob_formula`` read it.
 """
 
 from __future__ import annotations
@@ -362,10 +364,9 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     if over is not None and numbering.head[i] & ~interp:
         over = None
     if over is not None and new:
-        blocked = theory.body_index.negative.get(outcome, ())
         pos, neg, head = numbering.pos, numbering.neg, numbering.head
         fired = state.fired_bits
-        for j in blocked:
+        for j in numbering.neg_users[numbering.index[outcome]]:
             if (head[j] & ~interp and not fired >> j & 1
                     and not pos[j] & ~over and not neg[j] & state.interp_bits):
                 over = None
@@ -398,15 +399,14 @@ def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcom
     overestimate, so those laws alone are checked. Only a theory with
     negated bodies reads the overestimates here.
     """
-    index = theory.body_index
     numbering = theory.numbering
     woken: list = []
     if child.interp_bits != state.interp_bits:
-        woken += index.positive.get(outcome, ())
-    if index.negative and child.over_bits is not state.over_bits:
+        woken += numbering.pos_users[numbering.index[outcome]]
+    if numbering.negated and child.over_bits is not state.over_bits:
         lost = state.over_bits & ~child.over_bits & numbering.negated
         for i in bit_positions(lost):
-            woken += index.negative[numbering.atoms[i]]
+            woken += numbering.neg_users[i]
     rest = ready.copy()
     rest.remove(pos)
     if not woken:
@@ -433,14 +433,6 @@ def _outcomes(law: CPLaw) -> list[tuple[Outcome, Probability]]:
     if law.no_effect_prob > 0:
         out.append((NO_EFFECT, law.no_effect_prob))
     return out
-
-
-def outcome_probability(law: CPLaw, outcome) -> Probability:
-    """Probability of one realized outcome of the law's event."""
-    for candidate, prob in _outcomes(law):
-        if candidate is outcome:
-            return prob
-    raise InvalidOutcomeError(f"{outcome} is not an outcome of law {law.label}")
 
 
 def build_tree(
@@ -580,11 +572,24 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
 
 def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
     """Leaf probability mass by final ``interp_bits``, masks over the
-    tree theory's numbering."""
+    tree theory's numbering. The fold goes level by level: every edge
+    fires one law, so all paths to a node have the same length and a
+    node's mass is complete once the level above it is done."""
     by_bits: dict = {}
-    for leaf, mass in tree.leaves_with_mass():
-        interp = leaf.state.interp_bits
-        by_bits[interp] = by_bits.get(interp, _ZERO) + mass
+    level = {id(tree.root): (tree.root, _ONE)}
+    while level:
+        below: dict = {}
+        for node, mass in level.values():
+            if not node.edges:
+                interp = node.state.interp_bits
+                seen = by_bits.get(interp)
+                by_bits[interp] = mass if seen is None else seen + mass
+                continue
+            for edge in node.edges:
+                share = mass * edge.prob
+                seen = below.get(id(edge.child))
+                below[id(edge.child)] = (edge.child, share if seen is None else seen[1] + share)
+        level = below
     return by_bits
 
 
@@ -609,32 +614,18 @@ def prob_formula(
     vocab = theory.vocabulary if vocabulary is None else vocabulary
     atoms = formula_atoms(formula)
     check_known(atoms, vocab, "formula")
-    # Fold the shared tree level by level: every edge fires one law, so
-    # all paths to a node have the same length and a node's mass is
-    # complete once the level above it is done.
-    root = build_tree(theory, context).root
-    # A leaf is judged on the formula's own atoms only, once per pattern.
+    # A final state is judged on the formula's own atoms only, once per pattern.
     numbering = theory.numbering
     bits = [(atom, numbering.bit(atom)) for atom in atoms]
     relevant = sum(bit for _, bit in bits)
     holds: dict = {}  # interp_bits & relevant -> bool
     total = _ZERO
-    level = {id(root): (root, _ONE)}
-    while level:
-        below: dict = {}
-        for node, mass in level.values():
-            if not node.edges:
-                seen = node.state.interp_bits & relevant
-                value = holds.get(seen)
-                if value is None:
-                    true = frozenset([atom for atom, bit in bits if seen & bit])
-                    value = holds[seen] = eval_formula(formula, true)
-                if value:
-                    total += mass
-                continue
-            for edge in node.edges:
-                share = mass * edge.prob
-                seen = below.get(id(edge.child))
-                below[id(edge.child)] = (edge.child, share if seen is None else seen[1] + share)
-        level = below
+    for interp, mass in distribution_bits(build_tree(theory, context)).items():
+        seen = interp & relevant
+        value = holds.get(seen)
+        if value is None:
+            true = frozenset([atom for atom, bit in bits if seen & bit])
+            value = holds[seen] = eval_formula(formula, true)
+        if value:
+            total += mass
     return total

@@ -59,9 +59,10 @@ from .engine import (
     Branch,
     ExecutionTree,
     Outcome,
-    outcome_probability,
+    _outcomes,
 )
 from .errors import (
+    InvalidOutcomeError,
     NoEffectNotAllowedError,
     OutcomeNotInHeadError,
     ParseError,
@@ -90,10 +91,6 @@ class _Scanner:
     def at_end(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def try_symbol(self, symbol: str) -> bool:
         self.skip_ws()
@@ -455,7 +452,10 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
-                text += f" {fraction_text(outcome_probability(law_of(event.label), event.outcome))}"
+                prob = next((p for o, p in _outcomes(law_of(event.label)) if o is event.outcome), None)
+                if prob is None:
+                    raise InvalidOutcomeError(f"{event.outcome} is not an outcome of law {event.label}")
+                text += f" {fraction_text(prob)}"
             lines.append(f'  n{i} -> n{i + 1} [label="{text}"];')
     elif isinstance(tree, ExecutionTree):
         # Pre-order numbering with an explicit stack. A node's entry

@@ -2,9 +2,11 @@
 
 States hold their interpretation, fired labels and overestimate as
 frozensets, and every successor's overestimate is computed as soon as
-the state is made. Apart from the imports and the shared value types,
-this is the engine as it was before states became masks; the
-differential tests in ``test_engine.py`` compare the two.
+the state is made. Apart from the imports, the shared value types and
+its own atom-keyed body index (a theory now indexes bodies only by atom
+bit, in its numbering), this is the engine as it was before states
+became masks; the differential tests in ``test_engine.py`` compare the
+two.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ class State:
     interp: frozenset
     fired: frozenset
     over: frozenset
+
+
+def body_index(theory: Theory) -> tuple[dict, dict]:
+    """Atom -> ascending positions of the laws whose body uses it,
+    positively and negated; built once per theory object."""
+    index = theory.__dict__.get("_reference_body_index")
+    if index is None:
+        positive: dict = {}
+        negative: dict = {}
+        for i, law in enumerate(theory.laws):
+            for atom in law.positive_body:
+                positive.setdefault(atom, []).append(i)
+            for atom in law.negative_body:
+                negative.setdefault(atom, []).append(i)
+        index = theory.__dict__["_reference_body_index"] = (positive, negative)
+    return index
 
 
 def overestimate(theory: Theory, interp: AbstractSet[Atom], fired: AbstractSet[str]) -> frozenset:
@@ -133,7 +151,7 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     # through a dropped law can leave the overestimate, so if every
     # dropped law that could contribute (positive body in the parent's
     # overestimate) has all its head atoms true, it stays as it is.
-    negated_in = theory.body_index.negative
+    negated_in = body_index(theory)[1]
     kept = law.head_atoms <= interp
     if kept and new in negated_in:
         kept = all(
@@ -171,13 +189,13 @@ def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcom
     when a positive body atom comes true or a negated one leaves the
     overestimate, so those laws alone are checked.
     """
-    index = theory.body_index
+    positive, negative = body_index(theory)
     woken: list = []
     if outcome is not NO_EFFECT and outcome not in state.interp:
-        woken += index.positive.get(outcome, ())
+        woken += positive.get(outcome, ())
     if child.over is not state.over:
-        for atom in index.negative.keys() & (state.over - child.over):
-            woken += index.negative[atom]
+        for atom in negative.keys() & (state.over - child.over):
+            woken += negative[atom]
     rest = ready.copy()
     rest.remove(pos)
     if not woken:

@@ -56,6 +56,23 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.cpl")]) == 1
 
+    def test_theory_file_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin.cpl"
+        path.write_bytes(b"\xffa.\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "utf-8" in err and "Traceback" not in err
+
+    def test_story_file_not_utf8_exits_1(self, files, tmp_path, capsys):
+        path = tmp_path / "latin.story"
+        path.write_bytes(b"\xffcontext throws_suzy.\n")
+        assert main([
+            "cause", files["suzy_billy.cpl"], "--story", str(path),
+            "--cause", "throws_suzy", "--effect", "shatters",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "utf-8" in err
+
 
 class TestProb:
     def test_exact_rational_with_decimal(self, files, capsys):
@@ -264,6 +281,17 @@ class TestCauses:
         captured = capsys.readouterr()
         assert "branches matching the outcome: 0" in captured.out
         assert "warning" in captured.err
+
+    def test_branches_are_counted_without_candidates(self, tmp_path, capsys):
+        path = tmp_path / "fact.cpl"
+        path.write_text("a.\n", encoding="utf-8")
+        assert main(["causes", str(path), "--outcome", "a", "--effect", "a"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "branches matching the outcome: 1",
+            "candidate  verdict       supporting",
+        ]
+        assert captured.err == ""
 
 
 class TestUnknownQueryAtoms:

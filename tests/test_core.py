@@ -89,8 +89,9 @@ class TestComputedOnce:
     def test_stored_after_the_first_read(self):
         theory = Theory((law([alt("b")], [Literal(Atom("a"))], "r1"),), frozenset({Atom("a")}))
         assert theory.vocabulary is theory.vocabulary
-        assert theory.body_index.positive == {Atom("a"): [0]}
-        assert theory.body_index.negative == {}
+        assert theory.numbering is theory.numbering
+        assert theory.numbering.pos_users == [[0], []]
+        assert theory.numbering.neg_users == [[], []]
 
     def test_threads_reading_fresh_theories_get_equal_values(self):
         laws = tuple(
@@ -104,7 +105,7 @@ class TestComputedOnce:
 
         def read(slot):
             barrier.wait(timeout=10)
-            got[slot] = [(t.body_index, t.vocabulary) for t in theories]
+            got[slot] = [(t.numbering.pos_users, t.numbering.neg_users, t.vocabulary) for t in theories]
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
         interval = sys.getswitchinterval()
@@ -117,10 +118,25 @@ class TestComputedOnce:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        expected = (theories[0].body_index, theories[0].vocabulary)
-        assert expected[0].negative[Atom("n5")] == [4]
+        numbering = theories[0].numbering
+        expected = (numbering.pos_users, numbering.neg_users, theories[0].vocabulary)
+        assert expected[1][numbering.index[Atom("n5")]] == [4]
         for values in got:
             assert values == [expected] * len(theories)
+
+
+class TestNumbering:
+    def test_body_users_list_each_law_once_in_order(self):
+        a, b = Literal(Atom("a")), Literal(Atom("b"))
+        theory = Theory((
+            law([alt("b")], [a, a], "r1"),
+            law([alt("c")], [b.complement(), a, b.complement()], "r2"),
+            law([alt("d")], [b], "r3"),
+        ), frozenset({Atom("a")}))
+        numbering = theory.numbering
+        assert numbering.atoms == [Atom(n) for n in "abcd"]
+        assert numbering.pos_users == [[0, 1], [2], [], []]
+        assert numbering.neg_users == [[], [1], [], []]
 
 
 class TestProbabilityRepresentation:

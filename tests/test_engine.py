@@ -526,7 +526,13 @@ class TestSharedTree:
             ]
             folded = [prob_formula(theory, context, f) for f in formulas]
             for policy in all_policies(theory):
-                leaves = list(build_tree(theory, context, policy=list(policy)).leaves_with_mass())
+                tree = build_tree(theory, context, policy=list(policy))
+                leaves = list(tree.leaves_with_mass())
+                by_bits: dict = {}
+                for leaf, mass in leaves:
+                    bits = leaf.state.interp_bits
+                    by_bits[bits] = by_bits.get(bits, Fraction(0)) + mass
+                assert engine.distribution_bits(tree) == by_bits
                 for formula, value in zip(formulas, folded):
                     per_path = sum(
                         (mass for leaf, mass in leaves if eval_formula(formula, leaf.state.interp)),
@@ -542,6 +548,17 @@ class TestSharedTree:
         assert len({id(node) for node in tree.nodes()}) == 2 * k + 1
         assert sum(mass for _, mass in tree.leaves_with_mass()) == 1
         assert len(list(tree.leaves_with_mass())) == 2 ** k
+
+    def test_distribution_folds_each_shared_node_once(self, monkeypatch):
+        text, ctx = _throwers(20)
+        tree = build_tree(load_theory(text), ctx)
+
+        def per_path(self):
+            raise AssertionError("walked the tree path by path")
+
+        monkeypatch.setattr(engine.ExecutionTree, "leaves_with_mass", per_path)
+        half = Fraction(1, 2**20)
+        assert distribution(tree) == {ctx | interp("shatters"): 1 - half, ctx: half}
 
     def test_renderings_of_a_shared_tree_are_per_path(self, tmp_path, capsys):
         text, ctx = _throwers(3)
@@ -706,7 +723,7 @@ class TestOnDemandOverestimate:
 
     def test_build_tree_memory_on_a_deterministic_chain(self):
         theory = _chain(1000)
-        theory.numbering, theory.body_index  # built before tracing
+        theory.numbering  # built before tracing
         tracemalloc.start()
         try:
             tree = build_tree(theory, interp("a0"))

@@ -15,8 +15,9 @@ from cplogic.core import (
     Negation,
     TRUE,
 )
-from cplogic.engine import NO_EFFECT, build_tree, replay_story
+from cplogic.engine import NO_EFFECT, Branch, Event, build_tree, replay_story
 from cplogic.errors import (
+    InvalidOutcomeError,
     NoEffectNotAllowedError,
     OutcomeNotInHeadError,
     ParseError,
@@ -272,6 +273,14 @@ class TestDotExport:
         assert dot.count("->") == 2
         assert dot.count("[label=") - 2 == 3
         assert "coh: change_of_heart 1/2" in dot
+
+    @pytest.mark.parametrize("outcome", [Atom("shatters"), NO_EFFECT])
+    def test_branch_event_outside_the_law_outcomes_is_rejected(self, outcome):
+        theory = load_theory("exogenous t.\nbreaks <- t.\nshatters:1/2 <- t.\n")
+        branch = replay_story(theory, parse_story("context t.\nr1 -> breaks.\n", theory))
+        forged = Branch(branch.states, (Event("r1", outcome),))
+        with pytest.raises(InvalidOutcomeError):
+            export_tree_dot(forged, theory=theory)
 
     def test_mask_formatter_writes_what_format_interp_writes(self):
         theory = load_theory("exogenous b, a10, a9.\nzz <- b.\nc_1:1/2; a:1/2 <- ~zz, a9.\n")
