@@ -14,11 +14,14 @@ effect arose, plus laws that were already impossible by then, take part
 in the counterfactual. The partial-information check runs the complete
 check over every branch that could have produced an observed final
 state and reports whether the candidate is a cause in all, some, or
-none of them.
+none of them. A verdict depends only on the set of events that fired
+before the effect arose, not on their order, so the partial check
+computes each candidate's verdict once per such set.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import operator
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
@@ -39,6 +42,7 @@ from .core import (
 from .engine import (
     NO_EFFECT,
     Branch,
+    Event,
     LawStatus,
     State,
     enumerate_branches,
@@ -287,17 +291,40 @@ def relevant_theory(
 # ---------------------------------------------------------------------------
 # Verdicts
 
+#: Verdicts of the running ``classify_causes`` call for its current
+#: query, keyed by the set of events before the effect; unset outside
+#: such a call.
+_verdict_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "cplogic_verdict_memo", default=None
+)
+
+#: ``(label, outcome)`` of an event: equal exactly when the events are,
+#: and cheaper to hash.
+_event_key = Event._values
+
 
 def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     """Complete-information check of one cause/effect pair on one branch."""
     check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
     _require_holds((query.cause, query.effect), branch.final_state)
     j = effect_index(branch, query.effect)
+    memo = _verdict_memo.get()
+    if memo is not None:
+        # Sound because every branch of one classify_causes call starts
+        # in the same context: the relevant laws, the cut state and the
+        # story-fixed counterfactual are all fixed by the prefix set.
+        key = frozenset(map(_event_key, branch.events[:j]))
+        verdict = memo.get(key)
+        if verdict is not None:
+            return verdict
     relevant = relevant_theory(theory, branch, query.effect, j)
     counterfactual, context, prob = _counterfactual(
         theory, fix_story(relevant, branch), branch, query.cause, query.effect
     )
-    return Verdict(prob == 0, j, relevant, counterfactual, context, prob)
+    verdict = Verdict(prob == 0, j, relevant, counterfactual, context, prob)
+    if memo is not None:
+        memo[key] = verdict
+    return verdict
 
 
 def default_candidates(
@@ -324,7 +351,8 @@ def classify_causes(
     exogenous context is read off that state unless given explicitly)
     and runs the complete-information check per branch. A candidate is a
     certain cause when every branch agrees, a possible one when at least
-    one does.
+    one does. Branches that share the set of events before the effect
+    share one verdict, computed once per candidate during this call.
     """
     final_interp = frozenset(final_interp)
     check_known(final_interp, theory.vocabulary, "final state")
@@ -349,22 +377,29 @@ def classify_causes(
                 )
 
     verdicts: dict[Literal, PartialVerdict] = {}
-    for cand in candidates:
-        if not cand.holds_in(final_interp):
-            verdicts[cand] = PartialVerdict(
-                CauseClassification.NOT_POSSIBLE, 0, len(branches)
+    memo: dict = {}
+    token = _verdict_memo.set(memo)
+    try:
+        for cand in candidates:
+            # The memo's keys leave out the query: it holds one
+            # candidate's verdicts, and the effect is fixed for the call.
+            memo.clear()
+            if not cand.holds_in(final_interp):
+                verdicts[cand] = PartialVerdict(
+                    CauseClassification.NOT_POSSIBLE, 0, len(branches)
+                )
+                continue
+            query = CauseQuery(cand, effect)
+            supporting = sum(
+                1 for b in branches if actual_cause(theory, b, query).is_cause
             )
-            continue
-        supporting = sum(
-            1
-            for b in branches
-            if actual_cause(theory, b, CauseQuery(cand, effect)).is_cause
-        )
-        if branches and supporting == len(branches):
-            kind = CauseClassification.CERTAIN
-        elif supporting:
-            kind = CauseClassification.POSSIBLE_ONLY
-        else:
-            kind = CauseClassification.NOT_POSSIBLE
-        verdicts[cand] = PartialVerdict(kind, supporting, len(branches))
+            if branches and supporting == len(branches):
+                kind = CauseClassification.CERTAIN
+            elif supporting:
+                kind = CauseClassification.POSSIBLE_ONLY
+            else:
+                kind = CauseClassification.NOT_POSSIBLE
+            verdicts[cand] = PartialVerdict(kind, supporting, len(branches))
+    finally:
+        _verdict_memo.reset(token)
     return verdicts

@@ -49,8 +49,12 @@ from .textio import (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        err.reason = f"{err.reason} in {path}"
+        raise
 
 
 def _decimal(value: Fraction) -> str:

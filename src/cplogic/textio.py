@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable, Set as AbstractSet
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 
@@ -71,6 +72,27 @@ from .errors import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"\d+\.\d+|\d+\s*/\s*\d+|\d+")
+_DIGITS = re.compile(r"\d+")
+
+#: Longest digit run a probability numeral may have. Numerals are
+#: converted exactly through ``Decimal``, which Python's int
+#: string-conversion limit does not apply to (that limit stays as it is);
+#: the time is quadratic in the run's length, about 0.4 s at this cap.
+_MAX_NUMERAL_DIGITS = 100_000
+
+
+def _numeral_value(numeral: str) -> Fraction:
+    """The exact value of a decimal or ``n/d`` numeral without whitespace.
+
+    Raises ``ValueError`` when a digit run is longer than the cap and
+    ``ZeroDivisionError`` for a zero denominator.
+    """
+    if max(map(len, _DIGITS.findall(numeral))) > _MAX_NUMERAL_DIGITS:
+        raise ValueError("probability numeral has too many digits")
+    num, _, den = numeral.partition("/")
+    if den:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+    return Fraction(Decimal(num))
 
 
 class _Scanner:
@@ -145,10 +167,10 @@ class _Scanner:
             raise self.error("expected a probability (decimal, num/den, or *)")
         token = match.group()
         try:
-            value = Fraction(token.replace(" ", ""))
+            value = _numeral_value("".join(token.split()))
         except ZeroDivisionError:
             raise self.error("probability denominator is zero") from None
-        except ValueError:  # past sys.get_int_max_str_digits()
+        except ValueError:
             raise self.error("probability numeral has too many digits") from None
         if value > 1:
             raise self.error(f"probability {token} exceeds 1")

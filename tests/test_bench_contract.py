@@ -90,3 +90,26 @@ def test_a_traced_pass_sees_every_counted_call(tracer, traced):
     # causation's own binding of prob_formula is wrapped too.
     assert tr.calls[2, "engine.prob_formula"] == len(tr.cone_ratios) - 1 > 0
     assert tr.cone_ratios[0] == 1.0
+
+
+def test_a_traced_classification_checks_every_candidate_on_every_branch(tracer, traced):
+    # bench/ops.py::exact_count_mismatches requires n * m!(2^m - 1) checks
+    # and m!(2^m - 1) branches per causes-partial op; here n = m = 3.
+    throwers = ("t1", "t2", "t3")
+    theory = load_theory(
+        f"exogenous {', '.join(throwers)}.\n" + "".join(f"shatters:1/2 <- {t}.\n" for t in throwers)
+    )
+    outcome = frozenset(Atom(name) for name in throwers + ("shatters",))
+    tr = tracer.Tracer(traced)
+    tr.install()
+    try:
+        tr.op = 1
+        verdicts = cplogic.causation.classify_causes(
+            theory, outcome, cplogic.core.Literal(Atom("shatters"))
+        )
+    finally:
+        tr.uninstall()
+    assert tracer.pristine(tracer.bindings(tr.originals))
+    assert len(verdicts) == 3
+    assert tr.calls[1, "causation.actual_cause"] == 3 * 6 * 7 == 126
+    assert tr.counts[1, "engine.enumerate_branches.branches"] == 6 * 7 == 42

@@ -1,17 +1,21 @@
 """Theory transformations and the two actual-causation settings."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from cplogic import corpus
+from cplogic import causation, corpus
 from cplogic.causation import (
     CauseClassification,
     CauseQuery,
+    PartialVerdict,
     Verdict,
     actual_cause,
     classify_causes,
     counterfactual_dependency,
+    default_candidates,
     effect_index,
     fix_story,
     force,
@@ -29,13 +33,14 @@ from cplogic.engine import (
     replay_story,
 )
 from cplogic.errors import (
+    CPLogicError,
     EffectNeverHoldsError,
     ExogenousForcedError,
     PreconditionNotInFinalStateError,
     SelfCauseQueryError,
     UnknownAtomError,
 )
-from cplogic.textio import load_theory, parse_literal, parse_story
+from cplogic.textio import load_theory, parse_literal, parse_story, serialize_theory
 
 
 def lit(text: str) -> Literal:
@@ -601,3 +606,151 @@ class TestCounterfactualReuse:
                         assert got == want
                         checked += 1
         assert checked > 1000
+
+
+def _classify_per_branch(theory, final, effect, context, fresh):
+    """``classify_causes`` with one uncached ``actual_cause`` per branch;
+    appends each verdict to ``fresh``, in the order of the checks."""
+    assert causation._verdict_memo.get() is None
+    branches = list(enumerate_branches(theory, context, target=final))
+    out = {}
+    for cand in default_candidates(theory, final, effect):
+        query = CauseQuery(cand, effect)
+        verdicts = [actual_cause(theory, branch, query) for branch in branches]
+        fresh.extend(verdicts)
+        supporting = sum(verdict.is_cause for verdict in verdicts)
+        if branches and supporting == len(branches):
+            kind = CauseClassification.CERTAIN
+        elif supporting:
+            kind = CauseClassification.POSSIBLE_ONLY
+        else:
+            kind = CauseClassification.NOT_POSSIBLE
+        out[cand] = PartialVerdict(kind, supporting, len(branches))
+    return out
+
+
+def _thrown(n):
+    """n throwers ``shatters:1/2 <- tI.``, all thrown, and their outcome."""
+    names = [f"t{i}" for i in range(1, n + 1)]
+    theory = load_theory(
+        f"exogenous {', '.join(names)}.\n" + "".join(f"shatters:1/2 <- {t}.\n" for t in names)
+    )
+    return theory, interp(" ".join(names + ["shatters"]))
+
+
+class TestVerdictMemo:
+    """``classify_causes`` computes one verdict per candidate and set of
+    events before the effect, and only for the length of the call."""
+
+    def test_matches_one_check_per_branch_on_random_theories(self, monkeypatch):
+        from randgen import random_cases
+
+        memoized = []
+
+        def recording(theory, branch, query):
+            verdict = actual_cause(theory, branch, query)
+            memoized.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(causation, "actual_cause", recording)
+        classified = 0
+        for theory, context in random_cases(300):
+            finals = {branch.final_state.interp for branch in enumerate_branches(theory, context)}
+            for final in sorted(finals, key=sorted):
+                effects = [Literal(a) for a in sorted(final)]
+                effects += [Literal(a, False) for a in sorted(theory.vocabulary - final)]
+                for effect in effects:
+                    fresh = []
+                    memoized.clear()
+                    try:
+                        want = _classify_per_branch(theory, final, effect, context, fresh)
+                    except CPLogicError as err:  # the memo must raise the same error
+                        with pytest.raises(type(err)):
+                            classify_causes(theory, final, effect)
+                        continue
+                    assert classify_causes(theory, final, effect) == want
+                    assert memoized == fresh  # per branch, in the same order
+                    classified += 1
+        assert classified > 3000
+
+    def test_one_counterfactual_per_candidate_and_prefix_set(self, monkeypatch):
+        theory, final = _thrown(3)
+        effect = lit("shatters")
+        branches = list(enumerate_branches(theory, final & theory.exogenous, target=final))
+        keys = {
+            (cand, frozenset(b.events[:effect_index(b, effect)]))
+            for cand in default_candidates(theory, final, effect)
+            for b in branches
+        }
+        calls = []
+        real = causation.prob_formula
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(causation, "prob_formula", counting)
+        out = classify_causes(theory, final, effect)
+        assert {v.classification for v in out.values()} == {CauseClassification.POSSIBLE_ONLY}
+        assert len(branches) == 42 and len(keys) == 3 * 12
+        assert len(calls) == len(keys)
+
+    def test_memo_is_unset_after_the_call_returns_or_raises(self, suzy, suzy_branch, monkeypatch):
+        outcome = interp("throws_suzy throws_billy shatters")
+        query = CauseQuery(lit("throws_suzy"), lit("shatters"))
+        calls = []
+        real = causation.prob_formula
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("first call fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(causation, "prob_formula", flaky)
+        with pytest.raises(RuntimeError):
+            classify_causes(suzy, outcome, lit("shatters"))
+        assert causation._verdict_memo.get() is None
+        first = actual_cause(suzy, suzy_branch, query)
+        assert actual_cause(suzy, suzy_branch, query) == first
+        assert len(calls) == 3  # each direct call computes afresh
+
+        classify_causes(suzy, outcome, lit("shatters"))
+        assert causation._verdict_memo.get() is None
+        before = len(calls)
+        actual_cause(suzy, suzy_branch, query)
+        actual_cause(suzy, suzy_branch, query)
+        assert len(calls) == before + 2
+
+    def test_threads_classifying_at_once_get_the_serial_result(self):
+        # The same query and events decide different verdicts in these two
+        # theories (a third law makes shatters when t1 is prevented), so a
+        # memo shared between the threads would mix them up.
+        theory, final = _thrown(2)
+        backup = load_theory(serialize_theory(theory) + "shatters <- ~t1.\n")
+        theories = [theory, backup]
+        effect = lit("shatters")
+        serial = [classify_causes(t, final, effect) for t in theories]
+        assert serial[0][lit("t1")] != serial[1][lit("t1")]
+        barrier = threading.Barrier(2)
+        results = [[], []]
+
+        def classify(slot):
+            barrier.wait(timeout=30)
+            for k in range(40):
+                results[slot].append(classify_causes(theories[(slot + k) % 2], final, effect))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=classify, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot in (0, 1):
+            assert results[slot] == [serial[(slot + k) % 2] for k in range(40)]
+        assert causation._verdict_memo.get() is None

@@ -47,9 +47,9 @@ class TestValidate:
         path.write_text("a:1.2.\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
 
-    def test_numeral_past_the_int_digit_limit_exits_1(self, tmp_path, capsys):
+    def test_numeral_past_the_digit_cap_exits_1(self, tmp_path, capsys):
         path = tmp_path / "long.cpl"
-        path.write_text("a:0." + "1" * 5000 + ".\n", encoding="utf-8")
+        path.write_text("a:0." + "1" * 100_001 + ".\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("parse error: probability numeral has too many digits")
 
@@ -62,6 +62,7 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "utf-8" in err and "Traceback" not in err
+        assert err.endswith(f"in {path}\n")
 
     def test_story_file_not_utf8_exits_1(self, files, tmp_path, capsys):
         path = tmp_path / "latin.story"
@@ -72,6 +73,7 @@ class TestValidate:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "utf-8" in err
+        assert err.endswith(f"in {path}\n")
 
 
 class TestProb:

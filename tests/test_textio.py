@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, serialization round-trips and DOT export."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -112,9 +113,19 @@ class TestParseTheory:
         with pytest.raises(ParseError):
             parse_theory("a:1/0.\n")
 
-    def test_numeral_past_the_int_digit_limit_is_a_parse_error(self):
+    def test_numeral_past_the_int_digit_limit_parses_exactly(self):
+        limit = sys.get_int_max_str_digits()
+        decimal = parse_theory("a:0." + "1" * 5000 + ".\n").theory.laws[0].head[0].prob
+        assert decimal == Fraction((10 ** 5000 - 1) // 9, 10 ** 5000)
+        ratio = parse_theory(f"a:1 /\t{'0' * 4999}3.\n").theory.laws[0].head[0].prob
+        assert ratio == Fraction(1, 3)
+        with pytest.raises(ParseError, match="denominator is zero"):
+            parse_theory("a:1/" + "0" * 5000 + ".\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_numeral_past_the_digit_cap_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:
-            parse_theory("a:0." + "1" * 5000 + ".\n")
+            parse_theory("a:0." + "1" * 100_001 + ".\n")
         assert "too many digits" in str(err.value)
 
 
@@ -241,6 +252,13 @@ class TestSerialization:
         theory = load_theory("antidote:*.\n")
         text = serialize_theory(theory)
         assert ":*" in text
+        assert load_theory(text) == theory
+
+    def test_value_past_the_int_digit_limit_round_trips(self):
+        # 4300 decimals reduce to a denominator of 4301 digits.
+        theory = load_theory("a:0." + "1" * 4300 + ".\n")
+        text = serialize_theory(theory)
+        assert f"/1{'0' * 4300}." in text
         assert load_theory(text) == theory
 
     @pytest.mark.parametrize("entry", corpus.entries(), ids=lambda e: e.name)
