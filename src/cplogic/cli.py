@@ -205,7 +205,7 @@ def cmd_causes(args) -> int:
             file=sys.stderr,
         )
     print(f"branches matching the outcome: {branches}")
-    width = max((len(str(lit)) for lit in verdicts), default=9)
+    width = max([len("candidate")] + [len(str(lit)) for lit in verdicts])
     print(f"{'candidate'.ljust(width)}  {'verdict'.ljust(12)}  supporting")
     for lit, verdict in verdicts.items():
         kind = verdict.classification.value

@@ -13,11 +13,13 @@ raise ``AttributeError``.
 
 from __future__ import annotations
 
+import enum
 import re
 from collections import deque
 from collections.abc import Iterable, Set as AbstractSet
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 from .errors import UnknownAtomError, UnknownLabelError, ValidationError
@@ -175,6 +177,23 @@ class Atom:
 Interpretation = frozenset
 
 
+class NoEffect(enum.Enum):
+    """Sentinel outcome for an event that fires without visible effect."""
+
+    NO_EFFECT = "none"
+
+    def __repr__(self) -> str:
+        return "none"
+
+    __str__ = __repr__
+
+
+NO_EFFECT = NoEffect.NO_EFFECT
+
+#: What a fired event realized: a head atom, or nothing visible.
+Outcome = Atom | NoEffect
+
+
 class Literal(Record):
     """An atom or its negation, as used in law bodies and cause/effect queries."""
 
@@ -209,6 +228,28 @@ class HeadAlternative(Record):
         setfield(self, "atom", atom)
         setfield(self, "prob", prob)
         setfield(self, "symbolic", symbolic)
+
+
+class OutcomeTable(Record):
+    """Every possible outcome of one law's event, with its probability.
+
+    ``pairs`` lists ``(outcome, probability)`` in head order, followed
+    by ``(NO_EFFECT, residual)`` when the head sums to less than one.
+    ``scale`` is the least common multiple of those probabilities'
+    denominators, and ``weights`` their integer numerators over it:
+    each probability is ``weight / scale``.
+    """
+
+    __slots__ = ("pairs", "scale", "weights")
+
+    def __init__(self, pairs: tuple[tuple[Outcome, Probability], ...], scale: int, weights: tuple[int, ...]):
+        setfield(self, "pairs", pairs)
+        setfield(self, "scale", scale)
+        setfield(self, "weights", weights)
+
+    @property
+    def allows_no_effect(self) -> bool:
+        return self.pairs[-1][0] is NO_EFFECT
 
 
 class CPLaw(Record):
@@ -247,6 +288,17 @@ class CPLaw(Record):
         return Fraction(total.denominator - total.numerator, total.denominator)
 
     @compute_once
+    def outcomes(self) -> OutcomeTable:
+        """The event's outcomes, as exact ratios and as integer weights."""
+        pairs = [(alt.atom, alt.prob) for alt in self.head]
+        residual = self.no_effect_prob
+        if residual.numerator > 0:  # an int test; Fraction > 0 goes through numbers.Rational
+            pairs.append((NO_EFFECT, residual))
+        scale = lcm(*[prob.denominator for _, prob in pairs])
+        weights = tuple([prob.numerator * (scale // prob.denominator) for _, prob in pairs])
+        return OutcomeTable(tuple(pairs), scale, weights)
+
+    @compute_once
     def positive_body(self) -> frozenset[Atom]:
         return frozenset(lit.atom for lit in self.body if lit.positive)
 
@@ -268,8 +320,8 @@ class Numbering:
     """One theory's atoms and laws as bit positions of plain ``int`` masks.
 
     Atom ``atoms[i]`` is bit i of an atom mask, numbered in order of
-    first appearance (exogenous atoms, then law by law, head before
-    body); law ``i`` of ``Theory.laws`` is bit i of a law mask, and
+    first appearance (exogenous atoms by name, then law by law, head
+    before body); law ``i`` of ``Theory.laws`` is bit i of a law mask, and
     ``pos``, ``neg`` and ``head`` hold its positive body, negated body
     and head atoms as masks. ``pos_users[i]`` and ``neg_users[i]`` list,
     in ascending order and once each, the laws whose body uses atom i
@@ -292,7 +344,10 @@ class Numbering:
                 neg_users.append([])
             return i
 
-        for atom in theory.exogenous:
+        # By name, not in set order: a copied or unpickled theory's
+        # exogenous set may iterate differently, and its states' masks
+        # must mean the same atoms.
+        for atom in sorted(theory.exogenous):
             number(atom)
         head: list = []
         pos: list = []

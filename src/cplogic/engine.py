@@ -26,8 +26,14 @@ and, after a step, recheck only the laws that the numbering's
 ``pos_users`` and ``neg_users`` tie to the new atom or to atoms that
 left the overestimate. ``overestimate`` and ``applicable_laws`` compute
 from scratch; the walkers call the latter only at the root.
-``distribution_bits``, the one fold of leaf masses, visits each shared
-tree node once; ``distribution`` and ``prob_formula`` read it.
+
+One walker, ``_fold``, sums the leaf masses per final state, level by
+level, visiting each shared tree node once. It runs with two kinds of
+mass. ``distribution_bits``, which ``distribution`` and ``cplogic
+tree`` read, passes exact ``Fraction`` masses. ``prob_formula`` passes
+integers over the product of every law's scale (the lcm of its outcome
+denominators, in the law's ``outcomes`` table), so the only
+``Fraction`` it makes is its answer.
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator, Sequence, Set as AbstractSet
 from fractions import Fraction
+from math import prod
 
 from .core import (
+    NO_EFFECT,
     Atom,
     CPLaw,
     Formula,
     Numbering,
+    Outcome,
     Probability,
     Record,
     Theory,
@@ -63,24 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .textio import StoryDocument
 
 
-class NoEffect(enum.Enum):
-    """Sentinel outcome for an event that fires without visible effect."""
-
-    NO_EFFECT = "none"
-
-    def __repr__(self) -> str:
-        return "none"
-
-    __str__ = __repr__
-
-
-NO_EFFECT = NoEffect.NO_EFFECT
-
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-#: What a fired event realized: a head atom, or nothing visible.
-Outcome = Atom | NoEffect
 
 
 class LawStatus(enum.Enum):
@@ -342,7 +334,7 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
             f"law {law.label} is {law_status(theory, state, law).value}, not applicable"
         )
     if outcome is NO_EFFECT:
-        if law.no_effect_prob <= 0:
+        if not law.outcomes.allows_no_effect:
             raise InvalidOutcomeError(
                 f"law {law.label} has no residual probability for a no-effect firing"
             )
@@ -420,19 +412,11 @@ def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> list[int] | No
     if policy is None:
         return None
     rank: dict = {}
-    for i, label in enumerate(policy):
+    for label in policy:
         theory.law(label)  # raises UnknownLabelError for bogus labels
-        rank[label] = i
+        rank.setdefault(label, len(rank))  # a repeated label keeps its first rank
     base = len(rank)
     return [rank.get(law.label, base + i) for i, law in enumerate(theory.laws)]
-
-
-def _outcomes(law: CPLaw) -> list[tuple[Outcome, Probability]]:
-    """Every possible outcome of the law's event with its probability."""
-    out = [(alt.atom, alt.prob) for alt in law.head]
-    if law.no_effect_prob > 0:
-        out.append((NO_EFFECT, law.no_effect_prob))
-    return out
 
 
 def build_tree(
@@ -475,7 +459,7 @@ def build_tree(
             # ready is in theory order, so file order takes its first law.
             pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
             law = laws[pos]
-            children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in _outcomes(law)]
+            children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in law.outcomes.pairs]
             stack[-1] = (state, ready, (law, children))
             stack.extend(
                 (child, _next_ready(theory, state, ready, pos, outcome, child), None)
@@ -530,7 +514,7 @@ def enumerate_branches(
             # only while target atoms are missing.
             if target is None or not (interp & ~target or target & ~interp and target & ~state.over_bits):
                 if readies[-1]:
-                    steps = [(pos, outcome) for pos in readies[-1] for outcome, _ in _outcomes(laws[pos])]
+                    steps = [(pos, outcome) for pos in readies[-1] for outcome, _ in laws[pos].outcomes.pairs]
                 elif target is None or interp == target:
                     yield Branch(tuple(states), tuple(events))
             moves.append(iter(steps))
@@ -570,13 +554,16 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
     return Branch(tuple(states), tuple(events))
 
 
-def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
-    """Leaf probability mass by final ``interp_bits``, masks over the
-    tree theory's numbering. The fold goes level by level: every edge
-    fires one law, so all paths to a node have the same length and a
-    node's mass is complete once the level above it is done."""
+def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
+    """Leaf mass by final ``interp_bits``, masks over the tree theory's
+    numbering, for ``root_mass`` at the root. ``shares(node, mass)``
+    gives what each of an internal node's edges passes on, in edge
+    order. The fold goes level by level, visiting each shared node
+    once: every edge fires one law, so all paths to a node have the
+    same length and a node's mass is complete once the level above it
+    is done."""
     by_bits: dict = {}
-    level = {id(tree.root): (tree.root, _ONE)}
+    level = {id(tree.root): (tree.root, root_mass)}
     while level:
         below: dict = {}
         for node, mass in level.values():
@@ -585,12 +572,28 @@ def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
                 seen = by_bits.get(interp)
                 by_bits[interp] = mass if seen is None else seen + mass
                 continue
-            for edge in node.edges:
-                share = mass * edge.prob
-                seen = below.get(id(edge.child))
-                below[id(edge.child)] = (edge.child, share if seen is None else seen[1] + share)
+            for edge, share in zip(node.edges, shares(node, mass)):
+                child = edge.child
+                seen = below.get(id(child))
+                below[id(child)] = (child, share if seen is None else seen[1] + share)
         level = below
     return by_bits
+
+
+def _probability_shares(node: TreeNode, mass: Fraction) -> list[Fraction]:
+    return [mass * edge.prob for edge in node.edges]
+
+
+def _weight_shares(node: TreeNode, mass: int) -> list[int]:
+    # Exact: mass carries the scale of every law not fired above node.
+    table = node.law.outcomes
+    scale = table.scale
+    return [mass * weight // scale for weight in table.weights]
+
+
+def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
+    """Leaf probability mass by final ``interp_bits``, as exact ratios."""
+    return _fold(tree, _ONE, _probability_shares)
 
 
 def distribution(tree: ExecutionTree) -> Distribution:
@@ -619,8 +622,13 @@ def prob_formula(
     bits = [(atom, numbering.bit(atom)) for atom in atoms]
     relevant = sum(bit for _, bit in bits)
     holds: dict = {}  # interp_bits & relevant -> bool
-    total = _ZERO
-    for interp, mass in distribution_bits(build_tree(theory, context)).items():
+    # Masses are integers over scale, the product of every law's scale,
+    # so the fold and the sum below make no Fraction. The tree comes from
+    # the module's build_tree binding, which bench/tracer.py wraps to
+    # count nodes (tests/test_bench_contract.py).
+    scale = prod([law.outcomes.scale for law in theory.laws])
+    total = 0
+    for interp, mass in _fold(build_tree(theory, context), scale, _weight_shares).items():
         seen = interp & relevant
         value = holds.get(seen)
         if value is None:
@@ -628,4 +636,4 @@ def prob_formula(
             value = holds[seen] = eval_formula(formula, true)
         if value:
             total += mass
-    return total
+    return Fraction(total, scale)

@@ -60,7 +60,6 @@ from .engine import (
     Branch,
     ExecutionTree,
     Outcome,
-    _outcomes,
 )
 from .errors import (
     InvalidOutcomeError,
@@ -311,7 +310,7 @@ def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
     except UnknownLabelError:
         raise UnknownLabelError(f"unknown law label {label!r} (line {line_no})") from None
     if sc.try_keyword("none"):
-        if law.no_effect_prob <= 0:
+        if not law.outcomes.allows_no_effect:
             raise NoEffectNotAllowedError(
                 f"law {label} always has a visible effect (line {line_no})"
             )
@@ -474,7 +473,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
-                prob = next((p for o, p in _outcomes(law_of(event.label)) if o is event.outcome), None)
+                prob = next((p for o, p in law_of(event.label).outcomes.pairs if o is event.outcome), None)
                 if prob is None:
                     raise InvalidOutcomeError(f"{event.outcome} is not an outcome of law {event.label}")
                 text += f" {fraction_text(prob)}"

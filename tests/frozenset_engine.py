@@ -24,7 +24,6 @@ from cplogic.engine import (
     LawStatus,
     TreeEdge,
     TreeNode,
-    _outcomes,
 )
 from cplogic.errors import InvalidOutcomeError, NonExogenousInContextError, NotApplicableError
 
@@ -209,13 +208,21 @@ def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> dict:
     if policy is None:
         return {law.label: i for i, law in enumerate(theory.laws)}
     rank: dict = {}
-    for i, label in enumerate(policy):
+    for label in policy:
         theory.law(label)  # raises UnknownLabelError for bogus labels
-        rank[label] = i
+        rank.setdefault(label, len(rank))
     base = len(rank)
     for i, law in enumerate(theory.laws):
         rank.setdefault(law.label, base + i)
     return rank
+
+
+def _outcomes(law: CPLaw) -> list[tuple[object, Probability]]:
+    """Every possible outcome of the law's event with its probability."""
+    out = [(alt.atom, alt.prob) for alt in law.head]
+    if law.no_effect_prob > 0:
+        out.append((NO_EFFECT, law.no_effect_prob))
+    return out
 
 def build_tree(
     theory: Theory,

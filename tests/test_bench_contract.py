@@ -36,6 +36,14 @@ def tracer():
 
 
 @pytest.fixture(scope="module")
+def reference():
+    spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
 def traced(tracer):
     plan = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return tracer.traced_names([metric["name"] for metric in plan["per_layer"]])
@@ -113,3 +121,29 @@ def test_a_traced_classification_checks_every_candidate_on_every_branch(tracer, 
     assert len(verdicts) == 3
     assert tr.calls[1, "causation.actual_cause"] == 3 * 6 * 7 == 126
     assert tr.counts[1, "engine.enumerate_branches.branches"] == 6 * 7 == 42
+
+
+@pytest.mark.parametrize("t, m, c", [(3, 3, 0), (4, 2, 3), (5, 3, 6)])
+def test_a_traced_probability_query_builds_the_full_tree(tracer, traced, reference, t, m, c):
+    # bench/ops.py::exact_count_mismatches requires 2^(m+c+1) - 1 tree
+    # nodes per prob-wide op: prob_formula must fold a tree that it
+    # builds through the traced engine.build_tree binding.
+    throwers = [f"t{i}" for i in range(1, t + 1)]
+    theory = load_theory(
+        f"exogenous {', '.join(throwers)}.\n"
+        + "".join(f"shatters:1/2 <- {name}.\n" for name in throwers)
+        + "".join(f"c{i}:1/2.\n" for i in range(1, c + 1))
+    )
+    context = frozenset(Atom(name) for name in throwers[:m])
+    formula = cplogic.textio.parse_formula("shatters & !c1" if c else "shatters")
+    tr = tracer.Tracer(traced)
+    tr.install()
+    try:
+        tr.op = 1
+        value = cplogic.engine.prob_formula(theory, context, formula, vocabulary=theory.vocabulary)
+    finally:
+        tr.uninstall()
+    assert tracer.pristine(tracer.bindings(tr.originals))
+    assert value == (1 - Fraction(1, 2 ** m)) * (Fraction(1, 2) if c else 1)
+    assert tr.calls[1, "engine.build_tree"] == 1
+    assert tr.counts[1, "engine.build_tree.nodes"] == reference.prob_wide_nodes({"m": m, "c": c}) == 2 ** (m + c + 1) - 1

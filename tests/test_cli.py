@@ -284,6 +284,19 @@ class TestCauses:
         assert "branches matching the outcome: 0" in captured.out
         assert "warning" in captured.err
 
+    def test_short_literals_line_up_under_the_header(self, files, capsys):
+        code = main([
+            "causes", files["hall_right.cpl"],
+            "--outcome", "a,b,c,d,e", "--effect", "e", "--candidates", "~c,a",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "branches matching the outcome: 3",
+            "candidate  verdict       supporting",
+            "~c         not-possible  0/3",
+            "a          certain       3/3",
+        ]
+
     def test_branches_are_counted_without_candidates(self, tmp_path, capsys):
         path = tmp_path / "fact.cpl"
         path.write_text("a.\n", encoding="utf-8")

@@ -12,7 +12,7 @@ import pytest
 
 from cplogic import corpus, engine
 from cplogic.cli import main
-from cplogic.core import Atom, Conjunction, FormulaAtom, Negation, TRUE, eval_formula
+from cplogic.core import FALSE, Atom, Conjunction, Disjunction, FormulaAtom, Negation, TRUE, Theory, eval_formula
 from cplogic.engine import (
     NO_EFFECT,
     Branch,
@@ -185,6 +185,14 @@ class TestBuildTree:
         second = build_tree(suzy, ctx, policy=["r2", "r1"])
         assert second.root.law.label == "r2"
         assert distribution(first) == distribution(second)
+
+    def test_a_repeated_policy_label_keeps_its_first_rank(self):
+        theory = load_theory("@a: x:1/2.\n@b: y:1/3.\n")
+        tree = build_tree(theory, frozenset(), policy=["b", "a", "b"])
+        assert tree == build_tree(theory, frozenset(), policy=["b", "a"])
+        assert tree.root.law.label == "b"
+        # A label listed only once still ranks ahead of every unlisted law.
+        assert build_tree(theory, frozenset(), policy=["b", "b", "b"]) == tree
 
     def test_edges_sum_to_one_at_every_internal_node(self, suzy):
         tree = build_tree(suzy, interp("throws_suzy throws_billy"))
@@ -646,6 +654,14 @@ class TestMaskStates:
                 assert clone == state and _state_views(clone) == (interp, fired, over)
         assert len(states) == len({_state_views(state) for state in states})
 
+    def test_the_numbering_does_not_follow_the_exogenous_set_order(self):
+        # An unpickled or copied theory rebuilds its exogenous frozenset,
+        # which may iterate in another order; its states' masks must
+        # still mean the same atoms.
+        atoms = [Atom(f"e{i}") for i in range(64)]
+        numbered = [Theory((), frozenset(order)).numbering.atoms for order in (atoms, atoms[::-1])]
+        assert numbered[0] == numbered[1] == sorted(atoms)
+
     def test_states_cross_equal_theory_objects_through_their_views(self, suzy):
         twin = load_theory(corpus.read_text("suzy_billy.cpl"))
         assert twin is not suzy and twin.numbering is not suzy.numbering
@@ -732,3 +748,92 @@ class TestOnDemandOverestimate:
             tracemalloc.stop()
         assert tree.root.law.label == "r1"
         assert peak < 8 * 2**20
+
+
+def _fractions_made(call):
+    """``call()``'s result and the number of Fraction objects it made.
+
+    Counted with a profile hook on the constructors in ``fractions``
+    (``__new__``, and ``_from_coprime_ints`` where the arithmetic uses
+    it), so every path counts: explicit calls and arithmetic alike.
+    """
+    makers = {Fraction.__new__.__code__}
+    from_coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if from_coprime is not None:
+        makers.add(from_coprime.__func__.__code__)
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code in makers:
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, made
+
+
+class TestIntegerFold:
+    """``prob_formula`` sums integer masses over the product of the laws'
+    scales; ``distribution_bits`` keeps the exact Fraction fold. Both
+    must give the same value."""
+
+    THEORIES = {
+        "numerators-sharing-scales": "a:2/3.\nb:1/2 <- a.\nc:1/2 <- ~a.\n",
+        "two-alternatives-beside-sixths": "a:1/4; b:3/4.\nc:1/6.\nd:5/6 <- a, c.\ne <- b, ~c.\n",
+        "symbolic": "exogenous s.\n@x: a:*; b:1/4 <- s.\nc:* <- a.\nd:1/3 <- ~c.\n",
+        "huge-denominator": "a:0." + "1" * 4400 + ".\nb:1/3 <- a.\nc:2/7; d:0.5 <- ~b.\n",
+        "deterministic": "exogenous s.\na <- s.\nb <- a.\nc <- ~b.\n",
+        "empty": "",
+    }
+
+    @pytest.mark.parametrize("name", THEORIES)
+    def test_prob_formula_equals_the_summed_distribution(self, name):
+        theory = load_theory(self.THEORIES[name])
+        contexts = [frozenset(), theory.exogenous] if theory.exogenous else [frozenset()]
+        for context in contexts:
+            masses = engine.distribution_bits(build_tree(theory, context))
+            for formula in _formulas(theory) + [FALSE, Disjunction(tuple(_formulas(theory)[1:3]))]:
+                want = sum(
+                    (mass for bits, mass in masses.items()
+                     if eval_formula(formula, theory.numbering.atom_set(bits))),
+                    Fraction(0),
+                )
+                got = prob_formula(theory, context, formula)
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_the_scale_of_a_deterministic_theory_is_one(self):
+        theory = load_theory(self.THEORIES["deterministic"])
+        assert [law.outcomes.scale for law in theory.laws] == [1, 1, 1]
+        assert prob_formula(theory, interp("s"), parse_formula("b & !c")) == 1
+
+    def test_outcome_tables(self):
+        theory = load_theory(self.THEORIES["two-alternatives-beside-sixths"])
+        first, second = theory.laws[:2]
+        assert first.outcomes.pairs == ((Atom("a"), Fraction(1, 4)), (Atom("b"), Fraction(3, 4)))
+        assert (first.outcomes.scale, first.outcomes.weights) == (4, (1, 3))
+        assert not first.outcomes.allows_no_effect
+        assert second.outcomes.pairs == ((Atom("c"), Fraction(1, 6)), (NO_EFFECT, Fraction(5, 6)))
+        assert (second.outcomes.scale, second.outcomes.weights) == (6, (1, 5))
+        assert second.outcomes.allows_no_effect
+        assert second.outcomes is second.outcomes
+
+    def test_fractions_made_do_not_grow_with_the_chain(self):
+        made = []
+        for depth in (50, 500):
+            theory = _chain(depth, ":9/10")
+            goal = FormulaAtom(Atom(f"a{depth}"))
+            prob_formula(theory, interp("a0"), goal)  # fills the laws' outcome tables
+            value, count = _fractions_made(lambda: prob_formula(theory, interp("a0"), goal))
+            assert value == Fraction(9, 10) ** depth
+            made.append(count)
+        assert made == [1, 1]  # the result alone
+
+    def test_a_long_chain_sums_to_exactly_one(self):
+        theory = _chain(2000, ":9/10")
+        value = prob_formula(theory, interp("a0"), FormulaAtom(Atom("a0")))
+        assert type(value) is Fraction and value == 1
