@@ -192,8 +192,7 @@ def force(theory: Theory, atom: Atom) -> Theory:
         )
     base = f"force_{atom.name}"
     label, k = base, 2
-    existing = set(theory.labels)
-    while label in existing:
+    while label in theory._by_label:
         label = f"{base}_{k}"
         k += 1
     forced = CPLaw((HeadAlternative(atom, Fraction(1)),), (), label)
@@ -262,9 +261,7 @@ def effect_index(branch: Branch, effect: Literal) -> int:
     raise EffectNeverHoldsError(f"{effect} never starts to hold along the branch")
 
 
-def relevant_theory(
-    theory: Theory, branch: Branch, effect: Literal, index: int | None = None
-) -> Theory:
+def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
     """The laws that matter for how the effect came about.
 
     Keeps the laws that fired strictly before the effect arose and the
@@ -273,10 +270,9 @@ def relevant_theory(
     fired from; for a negative effect, in the state where the atom left
     the overestimate (the moment the absence became settled). Law
     objects are shared with the input theory, not copied, and when
-    every law is kept the input theory itself is returned. ``index``
-    is ``effect_index(branch, effect)`` when the caller has it already.
+    every law is kept the input theory itself is returned.
     """
-    j = effect_index(branch, effect) if index is None else index
+    j = effect_index(branch, effect)
     fired_before = {event.label for event in branch.events[:j]}
     cut = branch.states[j] if not effect.positive else branch.states[max(j - 1, 0)]
     keep = []
@@ -317,7 +313,7 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
         verdict = memo.get(key)
         if verdict is not None:
             return verdict
-    relevant = relevant_theory(theory, branch, query.effect, j)
+    relevant = relevant_theory(theory, branch, query.effect)
     counterfactual, context, prob = _counterfactual(
         theory, fix_story(relevant, branch), branch, query.cause, query.effect
     )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import re
+import threading
+import weakref
 from collections import deque
 from collections.abc import Iterable, Set as AbstractSet
 from decimal import Decimal
@@ -131,9 +133,12 @@ class Atom:
     compare (and hash) by plain object identity.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "__weakref__")
 
-    _interned: dict[str, "Atom"] = {}
+    # Weak values: an atom no longer referenced anywhere is dropped, so
+    # a process that keeps parsing fresh names does not grow for good.
+    _interned: weakref.WeakValueDictionary[str, Atom] = weakref.WeakValueDictionary()
+    _intern_lock = threading.Lock()
 
     def __new__(cls, name: str) -> "Atom":
         atom = cls._interned.get(name)
@@ -146,9 +151,10 @@ class Atom:
                 raise ValueError(f"invalid atom name {name!r}: reserved word")
             atom = object.__new__(cls)
             object.__setattr__(atom, "name", name)
-            # setdefault is atomic: threads racing on a new name all get
-            # the instance stored first.
-            atom = cls._interned.setdefault(name, atom)
+            # The weak table's setdefault is not atomic; under the lock,
+            # threads racing on a new name all get the instance stored first.
+            with cls._intern_lock:
+                atom = cls._interned.setdefault(name, atom)
         return atom
 
     def __setattr__(self, attr, value):
@@ -426,19 +432,12 @@ class Theory(Record):
 
     @compute_once
     def vocabulary(self) -> frozenset[Atom]:
-        atoms = set(self.exogenous)
-        for law in self.laws:
-            atoms.update(law.head_atoms)
-            atoms.update(lit.atom for lit in law.body)
-        return frozenset(atoms)
+        """The exogenous, head and body atoms: exactly those the numbering numbers."""
+        return frozenset(self.numbering.index)
 
     @compute_once
     def endogenous(self) -> frozenset[Atom]:
         return self.vocabulary - self.exogenous
-
-    @compute_once
-    def labels(self) -> tuple[str, ...]:
-        return tuple(law.label for law in self.laws if law.label is not None)
 
     @compute_once
     def _by_label(self) -> dict:
@@ -706,12 +705,13 @@ def negation_loop_check(theory: Theory) -> tuple[Atom, ...] | None:
     if len(neg_edges) < 2:
         return None
 
+    # Only the endpoints of negative edges are ever asked about.
     reach: dict[Atom, frozenset[Atom]] = {
-        node: _reachable(succ, node) for node in succ
+        node: _reachable(succ, node) for edge in neg_edges for node in edge
     }
 
     def same_scc(u: Atom, v: Atom) -> bool:
-        return v in reach.get(u, ()) and u in reach.get(v, ())
+        return v in reach[u] and u in reach[v]
 
     edges = sorted(neg_edges, key=lambda e: (e[0].name, e[1].name))
     for i, (u1, v1) in enumerate(edges):

@@ -25,7 +25,9 @@ branch walker carry each state's applicable laws down their stacks
 and, after a step, recheck only the laws that the numbering's
 ``pos_users`` and ``neg_users`` tie to the new atom or to atoms that
 left the overestimate. ``overestimate`` and ``applicable_laws`` compute
-from scratch; the walkers call the latter only at the root.
+from scratch; the walkers call the latter only at the root. The
+fixpoint ``overestimate`` works on masks only, in and out; a state's
+``over`` is its one frozenset view.
 
 One walker, ``_fold``, sums the leaf masses per final state, level by
 level, visiting each shared tree node once. It runs with two kinds of
@@ -225,29 +227,21 @@ class ExecutionTree(Record):
 Distribution = dict
 
 
-def overestimate(
-    theory: Theory, interp: AbstractSet[Atom] | int, fired: AbstractSet[str] | int
-) -> frozenset | int:
+def overestimate(theory: Theory, interp: int, fired: int) -> int:
     """Least fixpoint of the atoms that may still become true.
 
     An unfired law contributes its head atoms as long as none of its
     negated body atoms is already true (deviations are permanent) and
     its positive body atoms are themselves still causable.
 
-    ``interp`` and ``fired`` are sets of atoms and of law labels, and
-    the result is a frozenset; or, as the engine's states call it,
-    both are masks over ``theory.numbering`` and so is the result.
+    ``interp`` (the true atoms), ``fired`` (the fired laws) and the
+    result are masks over ``theory.numbering``; ``State.over`` is the
+    frozenset view of the result.
     """
     numbering = theory.numbering
-    as_sets = not isinstance(interp, int)
-    if as_sets:
-        interp = frozenset(interp)
-        start, fired = numbering.atom_mask(interp), numbering.law_mask(fired)
-    else:
-        start = interp
     pos, neg, head = numbering.pos, numbering.neg, numbering.head
-    over = start
-    candidates = [i for i in range(len(head)) if not fired >> i & 1 and not neg[i] & start]
+    over = interp
+    candidates = [i for i in range(len(head)) if not fired >> i & 1 and not neg[i] & interp]
     changed = True
     while changed:
         changed = False
@@ -259,7 +253,7 @@ def overestimate(
                 over |= head[i]
                 changed = True
         candidates = remaining
-    return interp | numbering.atom_set(over) if as_sets else over
+    return over
 
 
 def initial_state(theory: Theory, context: AbstractSet[Atom]) -> State:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Callable, Set as AbstractSet
+from collections.abc import Callable, Iterator, Set as AbstractSet
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
@@ -192,8 +192,21 @@ class TheoryDocument(Record):
         setfield(self, "law_lines", law_lines)
 
 
-def _strip_comment(raw: str) -> str:
-    return raw.split("%", 1)[0]
+def _statements(text: str) -> Iterator[_Scanner]:
+    """A scanner over each statement line of a theory or story file.
+
+    Comments are stripped and blank lines skipped. Once the caller has
+    parsed a statement and asks for the next one, anything left on the
+    line raises "unexpected input after '.'".
+    """
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        content = raw.split("%", 1)[0]
+        if not content.strip():
+            continue
+        sc = _Scanner(content, line_no)
+        yield sc
+        if not sc.at_end():
+            raise sc.error("unexpected input after '.'")
 
 
 def parse_theory(text: str) -> TheoryDocument:
@@ -201,19 +214,13 @@ def parse_theory(text: str) -> TheoryDocument:
     laws: list[CPLaw] = []
     law_lines: list[int] = []
     exogenous: set[Atom] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        content = _strip_comment(raw)
-        if not content.strip():
-            continue
-        sc = _Scanner(content, line_no)
+    for sc in _statements(text):
         if sc.try_keyword("exogenous"):
             exogenous.update(sc.atoms())
             sc.expect_symbol(".")
         else:
             laws.append(_parse_law(sc))
-            law_lines.append(line_no)
-        if not sc.at_end():
-            raise sc.error("unexpected input after '.'")
+            law_lines.append(sc.line)
     return TheoryDocument(text, Theory(tuple(laws), frozenset(exogenous)), tuple(law_lines))
 
 
@@ -280,11 +287,7 @@ def parse_story(text: str, theory: Theory) -> StoryDocument:
     """Parse a story and resolve its steps against the theory's laws."""
     context: frozenset | None = None
     steps: list[StoryStep] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        content = _strip_comment(raw)
-        if not content.strip():
-            continue
-        sc = _Scanner(content, line_no)
+    for sc in _statements(text):
         if context is None:
             if not sc.try_keyword("context"):
                 raise sc.error("a story must start with a 'context' line")
@@ -293,9 +296,7 @@ def parse_story(text: str, theory: Theory) -> StoryDocument:
                 context = sc.atoms()
                 sc.expect_symbol(".")
         else:
-            steps.append(_parse_step(sc, theory, line_no))
-        if not sc.at_end():
-            raise sc.error("unexpected input after '.'")
+            steps.append(_parse_step(sc, theory, sc.line))
     if context is None:
         raise ParseError("a story must start with a 'context' line", 1)
     return StoryDocument(context, tuple(steps))

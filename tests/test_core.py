@@ -1,11 +1,13 @@
 """Core types, validation, formula evaluation and the negation-loop check."""
 
+import gc
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+from cplogic import core
 from cplogic.core import (
     CONTRADICTORY_BODY,
     DOUBLE_NEGATION_LOOP,
@@ -30,6 +32,7 @@ from cplogic.core import (
     validate_theory,
 )
 from cplogic.errors import UnknownAtomError, ValidationError
+from cplogic.textio import load_theory
 
 
 def law(head, body=(), label=None):
@@ -84,6 +87,26 @@ class TestAtom:
         for atoms in got:
             assert all(a is b for a, b in zip(atoms, got[0], strict=True))
 
+    def test_atoms_nothing_refers_to_are_released(self):
+        # Every theory brings 20 new names and is dropped at once, so a
+        # table that holds its atoms weakly keeps none of them.
+        def parse_fresh_theories(prefix, count):
+            for i in range(count):
+                names = [f"{prefix}_{i}_{k}" for k in range(20)]
+                text = "".join(f"{b}:1/2 <- {a}.\n" for a, b in zip(names, names[1:]))
+                load_theory(f"exogenous {names[0]}.\n" + text)
+
+        gc.collect()
+        before = len(Atom._interned)
+        parse_fresh_theories("fresh", 200)
+        gc.collect()
+        assert len(Atom._interned) <= before + 20
+        kept = Atom("fresh_kept")
+        parse_fresh_theories("again", 200)
+        gc.collect()
+        assert Atom("fresh_kept") is kept
+        assert len(Atom._interned) <= before + 21
+
 
 class TestComputedOnce:
     def test_stored_after_the_first_read(self):
@@ -123,6 +146,31 @@ class TestComputedOnce:
         assert expected[1][numbering.index[Atom("n5")]] == [4]
         for values in got:
             assert values == [expected] * len(theories)
+
+
+class TestVocabulary:
+    @staticmethod
+    def oracle(theory):
+        atoms = set(theory.exogenous)
+        for law in theory.laws:
+            atoms.update(law.head_atoms)
+            atoms.update(lit.atom for lit in law.body)
+        return frozenset(atoms)
+
+    def test_exogenous_head_and_body_atoms_on_random_theories(self):
+        from randgen import random_cases
+
+        for theory, _ in random_cases(300):
+            assert theory.vocabulary == self.oracle(theory)
+
+    def test_unvalidated_candidate_with_unlabeled_laws(self):
+        candidate = Theory((
+            law([alt("b", Fraction(1, 2)), alt("c", Fraction(1, 3))], [Literal(Atom("a")), Literal(Atom("d"), False)]),
+            law([alt("b")], [Literal(Atom("b"))]),
+            law([alt("e")], label="x"),
+        ), frozenset({Atom("a"), Atom("z")}))
+        assert candidate.vocabulary == self.oracle(candidate) == frozenset(Atom(n) for n in "abcdez")
+        assert validate_theory(candidate).vocabulary == candidate.vocabulary
 
 
 class TestNumbering:
@@ -265,6 +313,31 @@ class TestNegationLoopCheck:
             law([alt("q", Fraction(1, 2))], [Literal(Atom("p"))]),
         ))
         assert negation_loop_check(theory) is None
+
+    def test_reaches_only_from_negative_edge_endpoints(self, monkeypatch):
+        # A 20,000-law chain plus two negations: reaching from every
+        # atom would be quadratic; the check needs x, y, z and w only.
+        calls = []
+        reachable = core._reachable
+
+        def counting(succ, start):
+            calls.append(start)
+            assert len(calls) <= 4, "reached from an atom no negative edge touches"
+            return reachable(succ, start)
+
+        monkeypatch.setattr(core, "_reachable", counting)
+        links = "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 20_000))
+        theory = load_theory(f"exogenous a0.\n{links}x:1/2 <- ~y.\nz:1/2 <- ~w.\n")
+        assert len(theory.laws) == 20_001
+        assert sorted(calls) == [Atom(n) for n in "wxyz"]
+
+    def test_loop_after_a_long_chain_keeps_its_witness(self):
+        links = "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 2000))
+        with pytest.raises(ValidationError) as err:
+            load_theory(f"exogenous a0.\n{links}p:1/2 <- ~q, a1999.\nq:1/2 <- ~p.\n")
+        (issue,) = err.value.issues
+        assert issue.code == DOUBLE_NEGATION_LOOP
+        assert set(issue.witness) == {Atom("p"), Atom("q")}
 
     def test_accepted_theories_pass_a_recheck(self):
         theory = validate_theory(Theory((

@@ -88,6 +88,21 @@ class TestParseTheory:
         doc = parse_theory("% c\na.\n\nb.\n")
         assert doc.law_lines == (2, 4)
 
+    def test_law_lines_skip_comment_only_and_blank_lines_between_laws(self):
+        text = "exogenous e.\na <- e.\n% one\n\n   \t\n  % two\nb <- a. % three\n\n%\nc <- b.\n"
+        assert parse_theory(text).law_lines == (2, 7, 10)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("a. b\nc.\n", 1, 4),
+        ("exogenous e.  e\na <- e.\n", 1, 15),
+        ("% first\na.\n\nb <- a. c % note\n% last\n", 4, 9),
+    ])
+    def test_trailing_input_after_the_dot_is_pinned(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert str(err.value) == f"unexpected input after '.' (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_probability_above_one_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse_theory("a:1.2.\n")
@@ -172,6 +187,23 @@ class TestParseStory:
     def test_story_must_start_with_context(self):
         with pytest.raises(ParseError):
             parse_story("r1 -> shatters.\n", self.theory())
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("context throws_suzy. r1 -> shatters.\nr2 -> none.\n", 1, 22),
+        ("% c\ncontext throws_suzy.\n\nr1 -> shatters. x % note\n% end\n", 4, 17),
+    ])
+    def test_trailing_input_after_the_dot_is_pinned(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_story(text, self.theory())
+        assert str(err.value) == f"unexpected input after '.' (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text", ["", "% only a comment\n\n  % and another\n"])
+    def test_a_story_without_statements_has_no_context_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_story(text, self.theory())
+        assert str(err.value) == "a story must start with a 'context' line (line 1)"
+        assert (err.value.line, err.value.column) == (1, None)
 
 
 class TestFormulasAndContexts:
