@@ -167,7 +167,7 @@ def prevent(theory: Theory, atom: Atom) -> Theory:
     """
     laws = []
     for law in theory.laws:
-        kept = tuple(alt for alt in law.head if alt.atom is not atom)
+        kept = tuple(alt for alt in law.head if alt.atom != atom)
         if len(kept) == len(law.head):
             laws.append(law)
         elif kept:

@@ -38,7 +38,6 @@ from .textio import (
     format_interp,
     format_law,
     interp_formatter,
-    load_theory,
     parse_context,
     parse_formula,
     parse_literal,
@@ -85,34 +84,24 @@ def _warn_symbolic(theory: Theory) -> None:
         )
 
 
-def _print_issues(err: ValidationError, law_lines: tuple[int, ...] = ()) -> None:
+def _print_issues(err: ValidationError, law_lines: tuple[int, ...]) -> None:
     for issue in err.issues:
-        where = ""
-        if issue.law_index is not None and issue.law_index < len(law_lines):
-            where = f" (line {law_lines[issue.law_index]})"
+        where = "" if issue.law_index is None else f" (line {law_lines[issue.law_index]})"
         print(f"error[{issue.code}]{where}: {issue.message}", file=sys.stderr)
 
 
-def cmd_validate(args) -> int:
-    text = _read(args.theory)
-    doc = parse_theory(text)
-    try:
-        theory = validate_theory(doc.theory)
-    except ValidationError as err:
-        _print_issues(err, doc.law_lines)
-        return 2
+def cmd_validate(theory: Theory, args) -> int:
     width = max([len("label")] + [len(law.label) for law in theory.laws])
     print(f"{'label'.ljust(width)}  law")
     for law in theory.laws:
         print(f"{law.label.ljust(width)}  {format_law(law, include_label=False)}")
     if theory.exogenous:
-        print("exogenous: " + ", ".join(sorted(a.name for a in theory.exogenous)))
+        print("exogenous: " + ", ".join(sorted(theory.exogenous)))
     print(f"ok: {len(theory.laws)} laws, {len(theory.vocabulary)} atoms")
     return 0
 
 
-def cmd_prob(args) -> int:
-    theory = load_theory(_read(args.theory))
+def cmd_prob(theory: Theory, args) -> int:
     formula = parse_formula(args.query)
     context = parse_context(args.context)
     _warn_symbolic(theory)
@@ -140,8 +129,7 @@ def _render_tree(tree: ExecutionTree) -> Iterator[str]:
             stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({fraction_text(edge.prob)})")
 
 
-def cmd_tree(args) -> int:
-    theory = load_theory(_read(args.theory))
+def cmd_tree(theory: Theory, args) -> int:
     context = parse_context(args.context)
     policy = args.policy.split(",") if args.policy else None
     tree = build_tree(theory, context, policy=policy)
@@ -159,8 +147,7 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def cmd_cause(args) -> int:
-    theory = load_theory(_read(args.theory))
+def cmd_cause(theory: Theory, args) -> int:
     story = parse_story(_read(args.story), theory)
     branch = replay_story(theory, story)
     query = CauseQuery(parse_literal(args.cause), parse_literal(args.effect))
@@ -185,8 +172,7 @@ def cmd_cause(args) -> int:
     return 0
 
 
-def cmd_causes(args) -> int:
-    theory = load_theory(_read(args.theory))
+def cmd_causes(theory: Theory, args) -> int:
     outcome = parse_context(args.outcome)
     effect = parse_literal(args.effect)
     context = parse_context(args.context) if args.context is not None else outcome & theory.exogenous
@@ -264,12 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Every subcommand's theory is loaded here, so its validation
+        # issues are reported with their source lines.
+        doc = parse_theory(_read(args.theory))
+        return args.handler(validate_theory(doc.theory), args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
     except ValidationError as err:
-        _print_issues(err)
+        _print_issues(err, doc.law_lines)
         return 2
     except SemanticError as err:
         print(f"error: {err}", file=sys.stderr)

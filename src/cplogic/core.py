@@ -2,7 +2,8 @@
 
 Atoms, literals, annotated heads, laws, theories and propositional
 formulas, plus structural validation. Every value is immutable after
-construction and safe to share; validation is a pure function.
+construction and safe to share; validation is a pure function. An atom
+is a validated name string, so there is no shared table behind it.
 
 The package's value types are ``Record`` subclasses: slotted classes
 whose fields are their ``__slots__``, with equality, hashing, ``repr``
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import enum
 import re
-import threading
-import weakref
 from collections import deque
 from collections.abc import Iterable, Set as AbstractSet
 from decimal import Decimal
@@ -126,57 +125,30 @@ _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"exogenous", "context", "none", "true", "false"})
 
 
-class Atom:
-    """An interned propositional atom.
+class Atom(str):
+    """A propositional atom: its name, as a validated ``str``.
 
-    Construction returns the unique instance for a given name, so atoms
-    compare (and hash) by plain object identity.
+    Atoms are plain values, not interned: two atoms with the same name
+    are equal and hash alike (str's own cached hash), and an atom equals
+    its name string. Compare atoms with ``==``, never ``is``.
     """
 
-    __slots__ = ("name", "__weakref__")
-
-    # Weak values: an atom no longer referenced anywhere is dropped, so
-    # a process that keeps parsing fresh names does not grow for good.
-    _interned: weakref.WeakValueDictionary[str, Atom] = weakref.WeakValueDictionary()
-    _intern_lock = threading.Lock()
+    __slots__ = ()
 
     def __new__(cls, name: str) -> "Atom":
-        atom = cls._interned.get(name)
-        if atom is None:
-            if not isinstance(name, str) or not _ATOM_NAME.match(name):
-                raise ValueError(
-                    f"invalid atom name {name!r}: expected a lowercase-leading identifier"
-                )
-            if name in RESERVED_WORDS:
-                raise ValueError(f"invalid atom name {name!r}: reserved word")
-            atom = object.__new__(cls)
-            object.__setattr__(atom, "name", name)
-            # The weak table's setdefault is not atomic; under the lock,
-            # threads racing on a new name all get the instance stored first.
-            with cls._intern_lock:
-                atom = cls._interned.setdefault(name, atom)
-        return atom
+        if not isinstance(name, str) or not _ATOM_NAME.match(name):
+            raise ValueError(
+                f"invalid atom name {name!r}: expected a lowercase-leading identifier"
+            )
+        if name in RESERVED_WORDS:
+            raise ValueError(f"invalid atom name {name!r}: reserved word")
+        return str.__new__(cls, name)
 
-    def __setattr__(self, attr, value):
-        raise AttributeError("atoms are immutable")
+    #: The name as a plain ``str``.
+    name = property(str.__str__)
 
     def __repr__(self) -> str:
-        return f"Atom({self.name!r})"
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __lt__(self, other: "Atom") -> bool:
-        return self.name < other.name
-
-    def __reduce__(self):
-        return (Atom, (self.name,))
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
+        return f"Atom({str.__repr__(self)})"
 
 
 #: An interpretation: the set of true atoms, everything else false.
@@ -350,9 +322,10 @@ class Numbering:
                 neg_users.append([])
             return i
 
-        # By name, not in set order: a copied or unpickled theory's
-        # exogenous set may iterate differently, and its states' masks
-        # must mean the same atoms.
+        # By name, not in set order: str hashes are randomized per
+        # process, so a theory unpickled in another process iterates its
+        # exogenous set differently, and its states' masks must mean the
+        # same atoms.
         for atom in sorted(theory.exogenous):
             number(atom)
         head: list = []
@@ -546,7 +519,7 @@ def check_known(atoms: AbstractSet[Atom], vocabulary: AbstractSet[Atom], what: s
     """Raise UnknownAtomError naming the atoms outside the vocabulary."""
     missing = atoms - vocabulary
     if missing:
-        names = ", ".join(sorted(a.name for a in missing))
+        names = ", ".join(sorted(missing))
         raise UnknownAtomError(f"{what} mentions unknown atoms: {names}")
 
 
@@ -665,7 +638,7 @@ def validate_theory(candidate: Theory) -> Theory:
 
     witness = negation_loop_check(candidate)
     if witness is not None:
-        cycle = " -> ".join(a.name for a in witness + (witness[0],))
+        cycle = " -> ".join(witness + (witness[0],))
         issues.append(ValidationIssue(
             DOUBLE_NEGATION_LOOP,
             f"causal feedback through two negations: {cycle}",
@@ -713,7 +686,7 @@ def negation_loop_check(theory: Theory) -> tuple[Atom, ...] | None:
     def same_scc(u: Atom, v: Atom) -> bool:
         return v in reach[u] and u in reach[v]
 
-    edges = sorted(neg_edges, key=lambda e: (e[0].name, e[1].name))
+    edges = sorted(neg_edges)
     for i, (u1, v1) in enumerate(edges):
         if not same_scc(u1, v1):
             continue
@@ -724,7 +697,7 @@ def negation_loop_check(theory: Theory) -> tuple[Atom, ...] | None:
             first = _path(succ, v1, u2)
             second = _path(succ, v2, u1)
             walk = (u1, *first, *second)
-            return walk[:-1] if len(walk) > 1 and walk[-1] is walk[0] else walk
+            return walk[:-1] if len(walk) > 1 and walk[-1] == walk[0] else walk
     return None
 
 
@@ -742,17 +715,17 @@ def _reachable(succ: dict, start: Atom) -> frozenset:
 
 def _path(succ: dict, start: Atom, goal: Atom) -> tuple[Atom, ...]:
     """Shortest path from start to goal, endpoints included; BFS."""
-    if start is goal:
+    if start == goal:
         return (start,)
     parents = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for nxt in sorted(succ.get(node, ()), key=lambda a: a.name):
+        for nxt in sorted(succ.get(node, ())):
             if nxt in parents:
                 continue
             parents[nxt] = node
-            if nxt is goal:
+            if nxt == goal:
                 out = [nxt]
                 while parents[out[-1]] is not None:
                     out.append(parents[out[-1]])

@@ -261,7 +261,7 @@ def initial_state(theory: Theory, context: AbstractSet[Atom]) -> State:
     context = frozenset(context)
     stray = context - theory.exogenous
     if stray:
-        names = ", ".join(sorted(a.name for a in stray))
+        names = ", ".join(sorted(stray))
         raise NonExogenousInContextError(
             f"context may only contain exogenous atoms, got: {names}"
         )

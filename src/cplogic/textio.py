@@ -412,7 +412,7 @@ def _format_prob(alt: HeadAlternative) -> str:
 
 def format_interp(interp: AbstractSet[Atom]) -> str:
     """An interpretation as ``{a, b}``, atoms sorted by name."""
-    return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
+    return "{" + ", ".join(sorted(interp)) + "}"
 
 
 def interp_formatter(numbering: Numbering) -> Callable[[int], str]:
@@ -424,7 +424,7 @@ def interp_formatter(numbering: Numbering) -> Callable[[int], str]:
     atoms = numbering.atoms
     if not atoms:
         return lambda mask: "{}"
-    order = sorted(range(len(atoms)), key=lambda i: atoms[i].name)
+    order = sorted(range(len(atoms)), key=atoms.__getitem__)
     names = [atoms[i].name for i in order]
     in_name_order = operator.itemgetter(*order)
     spec = f"0{len(atoms)}b"
@@ -449,7 +449,7 @@ def serialize_theory(theory: Theory) -> str:
     """Canonical text form; labels are always written out."""
     lines = []
     if theory.exogenous:
-        names = ", ".join(sorted(a.name for a in theory.exogenous))
+        names = ", ".join(sorted(theory.exogenous))
         lines.append(f"exogenous {names}.")
     lines.extend(format_law(law) for law in theory.laws)
     return "\n".join(lines) + "\n"
@@ -474,7 +474,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
-                prob = next((p for o, p in law_of(event.label).outcomes.pairs if o is event.outcome), None)
+                prob = next((p for o, p in law_of(event.label).outcomes.pairs if o == event.outcome), None)
                 if prob is None:
                     raise InvalidOutcomeError(f"{event.outcome} is not an outcome of law {event.label}")
                 text += f" {fraction_text(prob)}"

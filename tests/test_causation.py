@@ -71,7 +71,7 @@ class TestFixStory:
         fixed = fix_story(suzy, suzy_branch)
         assert [law.label for law in fixed.laws] == ["r1", "r2"]
         for law in fixed.laws:
-            assert law.head[0].atom is Atom("shatters")
+            assert law.head[0].atom == Atom("shatters")
             assert law.head[0].prob == 1
 
     def test_empty_branch_keeps_the_theory(self, suzy):
@@ -530,7 +530,7 @@ def _minting_verdict(theory, branch, query):
     if cause.positive:
         laws = []
         for law in fixed.laws:
-            kept = tuple(alt for alt in law.head if alt.atom is not cause.atom)
+            kept = tuple(alt for alt in law.head if alt.atom != cause.atom)
             if kept:
                 laws.append(CPLaw(kept, law.body, law.label))
         twisted, context = Theory(tuple(laws), fixed.exogenous), context - {cause.atom}

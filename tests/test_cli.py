@@ -76,6 +76,34 @@ class TestValidate:
         assert err.endswith(f"in {path}\n")
 
 
+class TestIssueLines:
+    """Every subcommand loads its theory the same way, so each reports
+    validation issues with the line of the law at fault."""
+
+    THEORY = "exogenous t.\nb <- t.\n% two alternatives for one atom\na:0.6; a:0.5 <- t.\n"
+
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["prob", "--query", "a"],
+        ["tree"],
+        ["cause", "--story", "STORY", "--cause", "t", "--effect", "b"],
+        ["causes", "--outcome", "t, b", "--effect", "b"],
+    ], ids=lambda command: command[0])
+    def test_issues_name_their_line(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cpl"
+        path.write_text(self.THEORY, encoding="utf-8")
+        story = tmp_path / "told.story"
+        story.write_text("context t.\nr1 -> b.\n", encoding="utf-8")
+        argv = [command[0], str(path)] + [str(story) if arg == "STORY" else arg for arg in command[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[duplicate-head-atom] (line 4): law 2: atom a appears twice in the head\n"
+            "error[head-sum-exceeds-one] (line 4): law 2: head probabilities sum to 11/10 > 1\n"
+        )
+
+
 class TestProb:
     def test_exact_rational_with_decimal(self, files, capsys):
         code = main([

@@ -1,8 +1,11 @@
 """Core types, validation, formula evaluation and the negation-loop check."""
 
+import copy
 import gc
+import pickle
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,8 +47,18 @@ def alt(name, prob=1):
 
 
 class TestAtom:
-    def test_interning_gives_identity(self):
-        assert Atom("shatters") is Atom("shatters")
+    def test_equal_names_give_equal_atoms(self):
+        atom = Atom("shatters")
+        for other in (Atom("shatters"), pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom)):
+            assert other == atom and hash(other) == hash(atom)
+            assert type(other) is Atom
+        assert Atom("shatters") != Atom("shatter")
+
+    def test_an_atom_equals_its_name_string(self):
+        assert Atom("a") == "a"
+        assert hash(Atom("a")) == hash("a")
+        assert Atom("a").name == "a" and type(Atom("a").name) is str
+        assert repr(Atom("a")) == "Atom('a')"
 
     def test_rejects_uppercase_leading_names(self):
         with pytest.raises(ValueError):
@@ -63,17 +76,17 @@ class TestAtom:
         with pytest.raises(AttributeError):
             Atom("a").name = "b"
 
-    def test_threads_interning_new_names_get_one_instance(self):
+    def test_threads_building_new_names_get_equal_atoms(self):
         names = [f"race_{i}" for i in range(2000)]
         workers = 6
         barrier = threading.Barrier(workers)
         got: list = [None] * workers
 
-        def intern(slot):
+        def build(slot):
             barrier.wait(timeout=10)
             got[slot] = [Atom(name) for name in names]
 
-        threads = [threading.Thread(target=intern, args=(i,)) for i in range(workers)]
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -85,27 +98,30 @@ class TestAtom:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for atoms in got:
-            assert all(a is b for a, b in zip(atoms, got[0], strict=True))
+            assert atoms == names
+            assert [hash(a) for a in atoms] == [hash(name) for name in names]
 
-    def test_atoms_nothing_refers_to_are_released(self):
-        # Every theory brings 20 new names and is dropped at once, so a
-        # table that holds its atoms weakly keeps none of them.
+    def test_parsing_fresh_names_does_not_grow_memory(self):
+        # Every theory brings 20 new names and is dropped at once; with
+        # no table behind the atoms, nothing of them outlives it.
         def parse_fresh_theories(prefix, count):
             for i in range(count):
                 names = [f"{prefix}_{i}_{k}" for k in range(20)]
                 text = "".join(f"{b}:1/2 <- {a}.\n" for a, b in zip(names, names[1:]))
                 load_theory(f"exogenous {names[0]}.\n" + text)
 
-        gc.collect()
-        before = len(Atom._interned)
-        parse_fresh_theories("fresh", 200)
-        gc.collect()
-        assert len(Atom._interned) <= before + 20
-        kept = Atom("fresh_kept")
-        parse_fresh_theories("again", 200)
-        gc.collect()
-        assert Atom("fresh_kept") is kept
-        assert len(Atom._interned) <= before + 21
+        parse_fresh_theories("warm", 20)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            parse_fresh_theories("fresh", 200)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 4000 atoms kept alive would take well over 200 kB.
+        assert grown < 20_000
 
 
 class TestComputedOnce:

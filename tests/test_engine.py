@@ -1,12 +1,16 @@
 """Execution semantics: states, overestimate, trees, branches, probabilities."""
 
 import copy
+import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -668,6 +672,51 @@ class TestMaskStates:
         atoms = [Atom(f"e{i}") for i in range(64)]
         numbered = [Theory((), frozenset(order)).numbering.atoms for order in (atoms, atoms[::-1])]
         assert numbered[0] == numbered[1] == sorted(atoms)
+
+    def test_a_theory_and_branch_pickled_under_one_hash_seed_load_under_another(self, tmp_path):
+        # str hashes are randomized per process, so the unpickled
+        # exogenous set iterates in another order; the numbering, the
+        # states' views and the probabilities must not follow it.
+        dump = tmp_path / "theory-and-branch.pickle"
+        report = (
+            "import json\n"
+            "from cplogic.engine import prob_formula\n"
+            "from cplogic.textio import parse_formula\n"
+            "def report(theory, branch):\n"
+            "    views = [[sorted(s.interp), sorted(s.fired), sorted(s.over)] for s in branch.states]\n"
+            "    prob = prob_formula(theory, branch.states[0].interp, parse_formula('hit | other'))\n"
+            "    print(json.dumps({'atoms': theory.numbering.atoms, 'views': views, 'prob': str(prob),\n"
+            "                      'set_order': list(theory.exogenous)}))\n"
+        )
+        write = report + (
+            "import pickle\n"
+            "from cplogic.engine import replay_story\n"
+            "from cplogic.textio import load_theory, parse_story\n"
+            "theory = load_theory('exogenous e0, e1, e2, e3, e4, e5, e6, e7.\\n'\n"
+            "                     '@h: hit:1/2 <- e1, e6.\\n@m: miss <- e3, ~hit.\\n'\n"
+            "                     '@o: out:1/3; other:1/3 <- e5.\\n')\n"
+            "story = parse_story('context e1, e3, e5, e6.\\nh -> none.\\nm -> miss.\\no -> other.\\n', theory)\n"
+            "branch = replay_story(theory, story)\n"
+            f"open({str(dump)!r}, 'wb').write(pickle.dumps((theory, branch)))\n"
+            "report(theory, branch)\n"
+        )
+        read = report + (
+            "import pickle\n"
+            f"report(*pickle.loads(open({str(dump)!r}, 'rb').read()))\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        runs = []
+        for seed, code in (("1", write), ("2", read)):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60, check=True).stdout
+            runs.append(json.loads(out))
+        written, loaded = runs
+        assert written["set_order"] != loaded["set_order"]
+        for key in ("atoms", "views", "prob"):
+            assert loaded[key] == written[key]
+        assert written["atoms"][:8] == [f"e{i}" for i in range(8)]
+        assert written["prob"] == "2/3"
 
     def test_states_cross_equal_theory_objects_through_their_views(self, suzy):
         twin = load_theory(corpus.read_text("suzy_billy.cpl"))

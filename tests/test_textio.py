@@ -43,7 +43,7 @@ class TestParseTheory:
     def test_probability_annotated_law(self):
         doc = parse_theory("shatters:0.9 <- throws_suzy.\n")
         (law,) = doc.theory.laws
-        assert law.head[0].atom is Atom("shatters")
+        assert law.head[0].atom == Atom("shatters")
         assert law.head[0].prob == Fraction(9, 10)
         assert law.body == (Literal(Atom("throws_suzy")),)
 
