@@ -15,19 +15,27 @@ step ORs in one bit instead of copying sets, and the public ``interp``,
 States from another theory object are converted through those views.
 
 Successor states are incremental, and the overestimate is computed on
-demand. ``fire`` keeps the parent's overestimate when the parent has
-one and the step removed no atom's only support; otherwise the child's
-stays unset, and the full fixpoint runs the first time something reads
-it. Only a negated body, the target cut of ``enumerate_branches`` and
-the causation queries read it: a law without negated body is
-applicable once its positive body is true. The tree builder and the
-branch walker carry each state's applicable laws down their stacks
-and, after a step, recheck only the laws that the numbering's
-``pos_users`` and ``neg_users`` tie to the new atom or to atoms that
-left the overestimate. ``overestimate`` and ``applicable_laws`` compute
-from scratch; the walkers call the latter only at the root. The
-fixpoint ``overestimate`` works on masks only, in and out; a state's
-``over`` is its one frozenset view.
+demand. One stepping kernel, ``_step``, makes every successor: it
+keeps the parent's overestimate when the parent has one and the step
+removed no atom's only support; otherwise the child's stays unset, and
+the full fixpoint runs the first time something reads it. Only a
+negated body, the target cut of ``enumerate_branches`` and the
+causation queries read it: a law without negated body is applicable
+once its positive body is true. The public ``fire`` checks that the
+theory holds the law, that the law is applicable and that the outcome
+is one of its own, then calls the kernel; ``replay_story`` goes through
+it, since a story is user input. The tree builder and the branch
+walker call the kernel unchecked, as their moves come from their ready
+lists and the laws' outcome tables. They carry each state's applicable
+laws down their stacks and, after a step, recheck only the laws that
+the numbering's ``pos_users`` and ``neg_users`` tie to the new atom or
+to atoms that left the overestimate. ``build_tree`` computes a child's
+``(interp_bits, fired_bits)`` key from its parent's masks and reserves
+it when it pushes the child, so each distinct state is stepped into
+once: 2k+1 nodes and 2k steps on k thrown throwers. ``overestimate``
+and ``applicable_laws`` compute from scratch; the walkers call the
+latter only at the root. The fixpoint ``overestimate`` works on masks
+only, in and out; a state's ``over`` is its one frozenset view.
 
 One walker, ``_fold``, sums the leaf masses per final state, level by
 level, visiting each shared tree node once. It runs with two kinds of
@@ -67,6 +75,7 @@ from .errors import (
     InvalidOutcomeError,
     NonExogenousInContextError,
     NotApplicableError,
+    UnknownLabelError,
 )
 
 TYPE_CHECKING = False  # true only for a static type checker
@@ -291,6 +300,15 @@ def _applicable(numbering: Numbering, state: State, i: int) -> bool:
     )
 
 
+def _position(theory: Theory, law: CPLaw) -> int:
+    """Position of ``law`` in ``theory``: UnknownLabelError unless the
+    theory holds a law equal to it under its label."""
+    held = theory.law(law.label)
+    if held is not law and held != law:
+        raise UnknownLabelError(f"law {law.label!r} differs from the theory's law of that label")
+    return theory.numbering.position[law.label]
+
+
 def law_status(theory: Theory, state: State, law: CPLaw) -> LawStatus:
     """Classify a law as fired, applicable, pending or impossible.
 
@@ -299,10 +317,10 @@ def law_status(theory: Theory, state: State, law: CPLaw) -> LawStatus:
     Applicable requires the positive preconditions to be true now and
     every negated atom to be out of the overestimate for good.
     """
+    i = _position(theory, law)
     if state.theory is not theory:
         state = _adopt(theory, state)
     numbering = theory.numbering
-    i = numbering.position[law.label]
     if state.fired_bits >> i & 1:
         return LawStatus.FIRED
     if _applicable(numbering, state, i):
@@ -317,13 +335,14 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
 
     ``outcome`` is a head atom, or NO_EFFECT when the head leaves
     residual probability. Realizing an atom that is already true leaves
-    the interpretation unchanged but still consumes the law.
+    the interpretation unchanged but still consumes the law. The law
+    must be one the theory holds, applicable in ``state``, and the
+    outcome one of its own; the step itself is ``_step``.
     """
+    i = _position(theory, law)
     if state.theory is not theory:
         state = _adopt(theory, state)
-    numbering = theory.numbering
-    i = numbering.position[law.label]
-    if not _applicable(numbering, state, i):
+    if not _applicable(theory.numbering, state, i):
         raise NotApplicableError(
             f"law {law.label} is {law_status(theory, state, law).value}, not applicable"
         )
@@ -332,13 +351,24 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
             raise InvalidOutcomeError(
                 f"law {law.label} has no residual probability for a no-effect firing"
             )
+    elif not isinstance(outcome, Atom) or outcome not in law.head_atoms:
+        raise InvalidOutcomeError(
+            f"{outcome} is not a head atom of law {law.label}"
+        )
+    return _step(theory, state, i, outcome)
+
+
+def _step(theory: Theory, state: State, i: int, outcome) -> State:
+    """The successor of ``state``, a state of ``theory``, after law ``i``
+    fired with ``outcome``, unchecked: the law must be applicable there
+    and the outcome one of its table's. ``fire`` checks both; the
+    walkers step only along their ready lists and the laws' tables."""
+    numbering = theory.numbering
+    if outcome is NO_EFFECT:
         new = 0
     else:
-        if not isinstance(outcome, Atom) or outcome not in law.head_atoms:
-            raise InvalidOutcomeError(
-                f"{outcome} is not a head atom of law {law.label}"
-            )
-        new = 1 << numbering.index[outcome] & ~state.interp_bits
+        atom = numbering.index[outcome]
+        new = 1 << atom & ~state.interp_bits
     interp = state.interp_bits | new
     # The step drops from the fixpoint's candidates the fired law and the
     # unfired laws the new atom blocks. Only atoms whose support ran
@@ -352,7 +382,7 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     if over is not None and new:
         pos, neg, head = numbering.pos, numbering.neg, numbering.head
         fired = state.fired_bits
-        for j in numbering.neg_users[numbering.index[outcome]]:
+        for j in numbering.neg_users[atom]:
             if (head[j] & ~interp and not fired >> j & 1
                     and not pos[j] & ~over and not neg[j] & state.interp_bits):
                 over = None
@@ -427,47 +457,66 @@ def build_tree(
 
     A subtree depends only on its root's ``(interp, fired)``, so equal
     states share one ``TreeNode``: the result is a DAG whose per-path
-    walks (``nodes``, ``leaves_with_mass``) see the full tree. The
-    builder keeps an explicit stack, so depth is not bounded by
-    Python's recursion limit.
+    walks (``nodes``, ``leaves_with_mass``) see the full tree. A child's
+    key comes from its parent's masks before any step, and is reserved
+    when the child is pushed, so each distinct state is stepped into,
+    given its applicable laws and expanded once. The builder keeps an
+    explicit stack, so depth is not bounded by Python's recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
+    bit = theory.numbering.bit
+    # Per law, each outcome of its table with its atom's bit (0 for
+    # NO_EFFECT), which a child's key ORs into its parent's interp_bits.
+    moves = [[(outcome, bit(outcome)) for outcome, _ in law.outcomes.pairs] for law in laws]
     root, root_ready = _root(theory, context)
-    built: dict = {}  # (interp_bits, fired_bits) -> TreeNode
-    # A state is pushed with its applicable laws' positions and plan
-    # None; once its children are pushed above it, plan holds the fired
-    # law and (outcome, prob, child) triples.
-    stack: list = [(root, root_ready, None)]
+    if not root_ready:
+        return ExecutionTree(theory, TreeNode(root, None, ()))
+    root_key = root.interp_bits, root.fired_bits
+    # (interp_bits, fired_bits) -> TreeNode, or None from the push of an
+    # internal node's state until its node is made; a leaf is made when
+    # it is stepped into. Every step fires one law, so a key is reached
+    # only from the level above it, and when a node of that level
+    # expands, all its nodes expanded before are complete: a child key
+    # already here has its node.
+    built: dict = {root_key: None}
+    # An internal node's state is pushed with its key, its applicable
+    # laws' positions and plan None. If expanding it pushes new children
+    # above it, plan becomes the fired law and its children's keys, in
+    # outcome order, and the node is made once they are.
+    stack: list = [(root_key, root, root_ready, None)]
     while stack:
-        state, ready, plan = stack[-1]
+        key, state, ready, plan = stack[-1]
         if plan is None:
-            key = state.interp_bits, state.fired_bits
-            if key in built:
-                stack.pop()
-                continue
-            if not ready:
-                stack.pop()
-                built[key] = TreeNode(state, None, ())
-                continue
             # ready is in theory order, so file order takes its first law.
             pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
             law = laws[pos]
-            children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in law.outcomes.pairs]
-            stack[-1] = (state, ready, (law, children))
-            stack.extend(
-                (child, _next_ready(theory, state, ready, pos, outcome, child), None)
-                for outcome, _, child in children
-            )
+            interp = state.interp_bits
+            fired = state.fired_bits | 1 << pos
+            keys = []
+            top = len(stack)
+            for outcome, b in moves[pos]:
+                child_key = interp | b, fired
+                keys.append(child_key)
+                if child_key not in built:
+                    child = _step(theory, state, pos, outcome)
+                    child_ready = _next_ready(theory, state, ready, pos, outcome, child)
+                    if child_ready:
+                        built[child_key] = None
+                        stack.append((child_key, child, child_ready, None))
+                    else:
+                        built[child_key] = TreeNode(child, None, ())
+            if len(stack) > top:
+                stack[top - 1] = (key, state, ready, (law, keys))
+                continue
         else:
-            stack.pop()
-            law, children = plan
-            edges = tuple(
-                TreeEdge(outcome, prob, built[child.interp_bits, child.fired_bits])
-                for outcome, prob, child in children
-            )
-            built[state.interp_bits, state.fired_bits] = TreeNode(state, law, edges)
-    return ExecutionTree(theory, built[root.interp_bits, root.fired_bits])
+            law, keys = plan
+        stack.pop()
+        built[key] = TreeNode(state, law, tuple([
+            TreeEdge(outcome, prob, built[child_key])
+            for (outcome, prob), child_key in zip(law.outcomes.pairs, keys)
+        ]))
+    return ExecutionTree(theory, built[root_key])
 
 
 def enumerate_branches(
@@ -520,11 +569,10 @@ def enumerate_branches(
                 readies.pop()
                 events.pop()
             pos, outcome = step
-            law = laws[pos]
-            child = fire(theory, states[-1], law, outcome)
+            child = _step(theory, states[-1], pos, outcome)
             readies.append(_next_ready(theory, states[-1], readies[-1], pos, outcome, child))
             states.append(child)
-            events.append(Event(law.label, outcome))
+            events.append(Event(laws[pos].label, outcome))
 
     return walk()
 
@@ -557,10 +605,14 @@ def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
     same length and a node's mass is complete once the level above it
     is done."""
     by_bits: dict = {}
-    level = {id(tree.root): (tree.root, root_mass)}
-    while level:
-        below: dict = {}
-        for node, mass in level.values():
+    # One level's nodes and masses, both keyed by the node's id.
+    nodes = {id(tree.root): tree.root}
+    masses = {id(tree.root): root_mass}
+    while nodes:
+        below_nodes: dict = {}
+        below_masses: dict = {}
+        for key, node in nodes.items():
+            mass = masses[key]
             if not node.edges:
                 interp = node.state.interp_bits
                 seen = by_bits.get(interp)
@@ -568,9 +620,14 @@ def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
                 continue
             for edge, share in zip(node.edges, shares(node, mass)):
                 child = edge.child
-                seen = below.get(id(child))
-                below[id(child)] = (child, share if seen is None else seen[1] + share)
-        level = below
+                child_id = id(child)
+                seen = below_masses.get(child_id)
+                if seen is None:
+                    below_nodes[child_id] = child
+                    below_masses[child_id] = share
+                else:
+                    below_masses[child_id] = seen + share
+        nodes, masses = below_nodes, below_masses
     return by_bits
 
 

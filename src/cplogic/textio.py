@@ -95,12 +95,18 @@ def _numeral_value(numeral: str) -> Fraction:
 
 
 class _Scanner:
-    """Minimal cursor over one statement, tracking the source position."""
+    """Minimal cursor over one statement, tracking the source position.
 
-    def __init__(self, text: str, line: int = 1):
+    ``names`` maps each atom name read so far to its atom; the
+    statements of one file share it, so a name is checked once per
+    parse.
+    """
+
+    def __init__(self, text: str, line: int = 1, names: dict | None = None):
         self.text = text
         self.pos = 0
         self.line = line
+        self.names = {} if names is None else names
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.pos + 1)
@@ -144,11 +150,14 @@ class _Scanner:
         self.skip_ws()
         start = self.pos
         name = self.ident("atom")
-        try:
-            return Atom(name)
-        except ValueError as exc:
-            self.pos = start
-            raise self.error(str(exc)) from None
+        atom = self.names.get(name)
+        if atom is None:
+            try:
+                atom = self.names[name] = Atom(name)
+            except ValueError as exc:
+                self.pos = start
+                raise self.error(str(exc)) from None
+        return atom
 
     def atoms(self) -> frozenset:
         """A comma-separated list of one or more atoms."""
@@ -197,13 +206,15 @@ def _statements(text: str) -> Iterator[_Scanner]:
 
     Comments are stripped and blank lines skipped. Once the caller has
     parsed a statement and asks for the next one, anything left on the
-    line raises "unexpected input after '.'".
+    line raises "unexpected input after '.'". The scanners share one
+    name -> atom map, which lives as long as the parse.
     """
+    names: dict = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         content = raw.split("%", 1)[0]
         if not content.strip():
             continue
-        sc = _Scanner(content, line_no)
+        sc = _Scanner(content, line_no, names)
         yield sc
         if not sc.at_end():
             raise sc.error("unexpected input after '.'")

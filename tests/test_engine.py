@@ -39,6 +39,7 @@ from cplogic.errors import (
     NonExogenousInContextError,
     NotApplicableError,
     UnknownAtomError,
+    UnknownLabelError,
 )
 from cplogic.textio import export_tree_dot, load_theory, parse_formula, parse_story
 
@@ -180,6 +181,25 @@ class TestFire:
         state = initial_state(theory, interp("c"))
         with pytest.raises(InvalidOutcomeError):
             fire(theory, state, theory.law("r1"), NO_EFFECT)
+
+
+    def test_a_law_the_theory_does_not_hold_is_an_unknown_label(self):
+        theory = load_theory("exogenous a.\nb:1/2 <- a.\n")
+        other = load_theory("z:1/2.\nc <- z.\n")
+        state = initial_state(theory, interp("a"))
+        # No r2 in theory; and other's r1 is not theory's r1.
+        for law, outcome in ((other.law("r2"), Atom("c")), (other.law("r1"), Atom("z"))):
+            with pytest.raises(UnknownLabelError):
+                fire(theory, state, law, outcome)
+            with pytest.raises(UnknownLabelError):
+                law_status(theory, state, law)
+
+    def test_an_equal_law_of_an_equal_theory_is_accepted(self):
+        text = "exogenous a.\nb:1/2 <- a.\n"
+        theory, twin = load_theory(text), load_theory(text)
+        state = initial_state(theory, interp("a"))
+        assert law_status(theory, state, twin.law("r1")) is LawStatus.APPLICABLE
+        assert fire(theory, state, twin.law("r1"), Atom("b")).interp == interp("a b")
 
 
 class TestBuildTree:
@@ -588,6 +608,69 @@ class TestSharedTree:
         assert main(["tree", str(path), "--context", "t1,t2,t3"]) == 0
         shown = capsys.readouterr().out.split("distribution over final states:")[0]
         assert shown.splitlines() == _render_reference(tree)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The key of every state the stepping kernel makes, called through
+    the module binding."""
+    made = []
+    kernel = engine._step
+
+    def counting(theory, state, i, outcome):
+        child = kernel(theory, state, i, outcome)
+        made.append((child.interp_bits, child.fired_bits))
+        return child
+
+    monkeypatch.setattr(engine, "_step", counting)
+    return made
+
+
+class TestOneStepPerState:
+    """build_tree reserves each child's key before stepping, so every
+    distinct state is stepped into once; the walkers never need the
+    checked fire."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_k_thrown_throwers_take_2k_steps_for_2k_plus_1_nodes(self, steps, k):
+        text, ctx = _throwers(k)
+        tree = build_tree(load_theory(text), ctx)
+        assert len({id(node) for node in tree.nodes()}) == 2 * k + 1
+        assert len(steps) == 2 * k
+
+    def test_steps_are_the_distinct_states_on_random_theories(self, steps):
+        from randgen import random_cases
+
+        for theory, context in random_cases(300):
+            for policy in (None, [law.label for law in reversed(theory.laws)]):
+                steps.clear()
+                tree = build_tree(theory, context, policy=policy)
+                nodes = list(tree.nodes())
+                keys = {(node.state.interp_bits, node.state.fired_bits) for node in nodes}
+                assert len({id(node) for node in nodes}) == len(keys)
+                assert len(steps) == len(keys) - 1
+                root = tree.root.state
+                assert set(steps) == keys - {(root.interp_bits, root.fired_bits)}
+
+    def test_two_outcomes_reaching_one_state_share_the_child(self, steps):
+        text, ctx = _throwers(2)
+        tree = build_tree(load_theory(text), ctx)
+        shattered = tree.root.edges[0].child
+        assert shattered.state.interp == ctx | interp("shatters")
+        hit, miss = shattered.edges
+        assert (hit.outcome, miss.outcome) == (Atom("shatters"), NO_EFFECT)
+        assert hit.child is miss.child
+        assert len(steps) == 4
+
+    def test_the_walkers_step_without_the_checked_fire(self, monkeypatch, suzy):
+        def checked(*args):
+            raise AssertionError("a walker called fire")
+
+        monkeypatch.setattr(engine, "fire", checked)
+        context = interp("throws_suzy throws_billy")
+        assert len(list(build_tree(suzy, context).nodes())) == 7
+        assert len(list(enumerate_branches(suzy, context))) == 8
+        assert prob_formula(suzy, context, FormulaAtom(Atom("shatters"))) == Fraction(49, 50)
 
 
 def _state_views(state):

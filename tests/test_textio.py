@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cplogic import corpus
+from cplogic import corpus, textio
 from cplogic.core import (
     Atom,
     Conjunction,
@@ -127,6 +127,28 @@ class TestParseTheory:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
             parse_theory("a:1/0.\n")
+
+    def test_one_parse_makes_one_atom_per_distinct_name(self, monkeypatch):
+        made = []
+
+        def counting(name, _atom=textio.Atom):
+            made.append(name)
+            return _atom(name)
+
+        monkeypatch.setattr(textio, "Atom", counting)
+        text = "exogenous a0.\n" + "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 301))
+        theory = parse_theory(text).theory
+        assert len(made) == 301 and len(set(made)) == 301
+        assert theory.laws[-1].head[0].atom == Atom("a300")
+        assert all(type(alt.atom) is Atom for law in theory.laws for alt in law.head)
+        # The map lives as long as one parse: the next one checks again.
+        parse_theory(text)
+        assert len(made) == 602
+
+    def test_a_bad_name_after_good_ones_keeps_its_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_theory("a.\nb <- a, a, Bad.\n")
+        assert (err.value.line, err.value.column) == (2, 12)
 
     def test_numeral_past_the_int_digit_limit_parses_exactly(self):
         limit = sys.get_int_max_str_digits()
