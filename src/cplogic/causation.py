@@ -359,10 +359,6 @@ def classify_causes(
         raise PreconditionNotInFinalStateError(
             f"{effect} does not hold in the observed final state"
         )
-    if context is None:
-        context = final_interp & theory.exogenous
-    branches = list(enumerate_branches(theory, context, target=final_interp))
-
     if candidates is None:
         candidates = default_candidates(theory, final_interp, effect)
     else:
@@ -371,6 +367,9 @@ def classify_causes(
                 raise SelfCauseQueryError(
                     f"candidate {lit} is the effect itself"
                 )
+    if context is None:
+        context = final_interp & theory.exogenous
+    branches = list(enumerate_branches(theory, context, target=final_interp))
 
     verdicts: dict[Literal, PartialVerdict] = {}
     memo: dict = {}

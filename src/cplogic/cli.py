@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from .causation import (
 )
 from .core import Theory, fraction_text, validate_theory
 from .engine import (
-    ExecutionTree,
     build_tree,
     distribution_bits,
     enumerate_branches,
@@ -37,6 +35,7 @@ from .textio import (
     export_tree_dot,
     format_interp,
     format_law,
+    format_tree,
     interp_formatter,
     parse_context,
     parse_formula,
@@ -109,35 +108,15 @@ def cmd_prob(theory: Theory, args) -> int:
     return 0
 
 
-def _render_tree(tree: ExecutionTree) -> Iterator[str]:
-    """The tree's text lines, one at a time, so a caller can print them
-    as they come."""
-    interp_text = interp_formatter(tree.theory.numbering)
-    # Pre-order with an explicit stack; a str entry is an edge line,
-    # pushed so that it pops just before the subtree it leads to.
-    stack: list = [(tree.root, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            yield item
-            continue
-        node, depth = item
-        pad = "  " * depth
-        yield f"{pad}{interp_text(node.state.interp_bits)}"
-        for edge in reversed(node.edges):
-            stack.append((edge.child, depth + 2))
-            stack.append(f"{pad}  {node.law.label} -> {edge.outcome} ({fraction_text(edge.prob)})")
-
-
 def cmd_tree(theory: Theory, args) -> int:
     context = parse_context(args.context)
-    policy = args.policy.split(",") if args.policy else None
+    policy = [label.strip() for label in args.policy.split(",")] if args.policy else None
     tree = build_tree(theory, context, policy=policy)
     if args.dot:
         sys.stdout.write(export_tree_dot(tree))
         return 0
     _warn_symbolic(theory)
-    for line in _render_tree(tree):
+    for line in format_tree(tree):
         print(line)
     print("distribution over final states:")
     interp_text = interp_formatter(tree.theory.numbering)
@@ -167,7 +146,7 @@ def cmd_cause(theory: Theory, args) -> int:
         print(f"counterfactual context: {format_interp(verdict.context)}")
         print("counterfactual tree:")
         cf_tree = build_tree(verdict.counterfactual, verdict.context)
-        for line in _render_tree(cf_tree):
+        for line in format_tree(cf_tree):
             print(f"  {line}")
     return 0
 

@@ -37,13 +37,15 @@ and ``applicable_laws`` compute from scratch; the walkers call the
 latter only at the root. The fixpoint ``overestimate`` works on masks
 only, in and out; a state's ``over`` is its one frozenset view.
 
-One walker, ``_fold``, sums the leaf masses per final state, level by
-level, visiting each shared tree node once. It runs with two kinds of
-mass. ``distribution_bits``, which ``distribution`` and ``cplogic
-tree`` read, passes exact ``Fraction`` masses. ``prob_formula`` passes
-integers over the product of every law's scale (the lcm of its outcome
-denominators, in the law's ``outcomes`` table), so the only
-``Fraction`` it makes is its answer.
+Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
+the full tree, path by path, in pre-order; ``nodes``,
+``leaves_with_mass`` and both renderings in ``textio`` read it. ``_fold``
+sums the leaf masses per final state, level by level, visiting each
+shared tree node once, with two kinds of mass. ``distribution_bits``,
+which ``distribution`` and ``cplogic tree`` read, passes exact
+``Fraction`` masses. ``prob_formula`` passes integers over the product
+of every law's scale (the lcm of its outcome denominators, in the law's
+``outcomes`` table), so the only ``Fraction`` it makes is its answer.
 """
 
 from __future__ import annotations
@@ -214,22 +216,31 @@ class ExecutionTree(Record):
         setfield(self, "theory", theory)
         setfield(self, "root", root)
 
-    def nodes(self) -> Iterator[TreeNode]:
-        stack = [self.root]
+    def walk(self) -> Iterator[tuple[int, TreeNode | None, TreeEdge | None, TreeNode]]:
+        """Every node of the full tree, path by path, in pre-order, as
+        ``(depth, parent, edge, node)``; ``edge`` leads from ``parent``
+        into ``node``, both None at the root. Explicit stack: no recursion limit."""
+        stack: list = [(0, None, None, self.root)]
         while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(edge.child for edge in node.edges)
+            item = stack.pop()
+            yield item
+            depth, _, _, node = item
+            for edge in reversed(node.edges):
+                stack.append((depth + 1, node, edge, edge.child))
+
+    def nodes(self) -> Iterator[TreeNode]:
+        return (node for _, _, _, node in self.walk())
 
     def leaves_with_mass(self) -> Iterator[tuple[TreeNode, Probability]]:
         """Leaves paired with the product of edge probabilities to them."""
-        stack = [(self.root, _ONE)]
-        while stack:
-            node, mass = stack.pop()
-            if node.is_leaf:
-                yield node, mass
+        masses: list = []  # masses[d]: the path's mass at depth d
+        for depth, _, edge, node in self.walk():
+            mass = masses[depth - 1] * edge.prob if depth else _ONE
+            if node.edges:
+                del masses[depth:]
+                masses.append(mass)
             else:
-                stack.extend((e.child, mass * e.prob) for e in node.edges)
+                yield node, mass
 
 
 #: Exact probability mass per final interpretation.
@@ -457,7 +468,7 @@ def build_tree(
 
     A subtree depends only on its root's ``(interp, fired)``, so equal
     states share one ``TreeNode``: the result is a DAG whose per-path
-    walks (``nodes``, ``leaves_with_mass``) see the full tree. A child's
+    walk (``ExecutionTree.walk``) sees the full tree. A child's
     key comes from its parent's masks before any step, and is reserved
     when the child is pushed, so each distinct state is stepped into,
     given its applicable laws and expanded once. The builder keeps an

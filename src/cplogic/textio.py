@@ -1,4 +1,4 @@
-"""Concrete syntax: theory files, story files, formulas and DOT export.
+"""Concrete syntax: theory files, story files, formulas and tree renderings.
 
 Theory files (``.cpl``) are line oriented:
 
@@ -467,7 +467,17 @@ def serialize_theory(theory: Theory) -> str:
 
 
 # ---------------------------------------------------------------------------
-# DOT export
+# Tree rendering and DOT export
+
+
+def format_tree(tree: ExecutionTree) -> Iterator[str]:
+    """The tree's text lines, path by path, one at a time, so a caller
+    can print them as they come; an edge's line precedes its subtree."""
+    interp_text = interp_formatter(tree.theory.numbering)
+    for depth, parent, edge, node in tree.walk():
+        if parent is not None:
+            yield f"{'  ' * (2 * depth - 1)}{parent.law.label} -> {edge.outcome} ({fraction_text(edge.prob)})"
+        yield f"{'  ' * (2 * depth)}{interp_text(node.state.interp_bits)}"
 
 
 def export_tree_dot(tree, theory: Theory | None = None) -> str:
@@ -491,26 +501,22 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
                 text += f" {fraction_text(prob)}"
             lines.append(f'  n{i} -> n{i + 1} [label="{text}"];')
     elif isinstance(tree, ExecutionTree):
-        # Pre-order numbering with an explicit stack. A node's entry
-        # carries the edge into it; that edge's line is pushed as a str
-        # below the node's children, so it follows the whole subtree.
-        counter = 0
+        # Nodes are numbered in pre-order. An edge's line follows its
+        # child's whole subtree, so the line into the node at depth d
+        # waits in held[d - 1] until a node at depth d or above comes.
         interp_text = interp_formatter(tree.theory.numbering)
-        stack: list = [(tree.root, None)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                lines.append(item)
-                continue
-            node, into = item
-            ident = counter
-            counter += 1
+        ids: list = []  # ids[d]: the number of the path's node at depth d
+        held: list = []
+        for ident, (depth, parent, edge, node) in enumerate(tree.walk()):
+            while len(held) >= depth > 0:
+                lines.append(held.pop())
             lines.append(f'  n{ident} [label="{interp_text(node.state.interp_bits)}"];')
-            if into is not None:
-                parent, text = into
-                stack.append(f'  n{parent} -> n{ident} [label="{text}"];')
-            for edge in reversed(node.edges):
-                stack.append((edge.child, (ident, f"{node.law.label}: {edge.outcome} {fraction_text(edge.prob)}")))
+            if parent is not None:
+                text = f"{parent.law.label}: {edge.outcome} {fraction_text(edge.prob)}"
+                held.append(f'  n{ids[depth - 1]} -> n{ident} [label="{text}"];')
+            del ids[depth:]
+            ids.append(ident)
+        lines.extend(reversed(held))
     else:
         raise TypeError(f"cannot export {type(tree).__name__} as DOT")
     lines.append("}")

@@ -356,22 +356,29 @@ def prob_formula(
     """
     vocab = theory.vocabulary if vocabulary is None else vocabulary
     check_known(formula_atoms(formula), vocab, "formula")
+    return fold_formulas(build_tree(theory, context), [formula])[0]
+
+
+def fold_formulas(tree: ExecutionTree, formulas: Sequence[Formula]) -> list[Probability]:
+    """The probability of each formula holding in the final state, from
+    one fold of ``tree``."""
     # Fold the shared tree level by level: every edge fires one law, so
     # all paths to a node have the same length and a node's mass is
     # complete once the level above it is done.
-    root = build_tree(theory, context).root
-    total = _ZERO
+    root = tree.root
+    totals = [_ZERO] * len(formulas)
     level = {id(root): (root, _ONE)}
     while level:
         below: dict = {}
         for node, mass in level.values():
             if not node.edges:
-                if eval_formula(formula, node.state.interp):
-                    total += mass
+                for k, formula in enumerate(formulas):
+                    if eval_formula(formula, node.state.interp):
+                        totals[k] += mass
                 continue
             for edge in node.edges:
                 share = mass * edge.prob
                 seen = below.get(id(edge.child))
                 below[id(edge.child)] = (edge.child, share if seen is None else seen[1] + share)
         level = below
-    return total
+    return totals

@@ -410,6 +410,16 @@ class TestClassifyCauses:
                 candidates=[lit("shatters")],
             )
 
+    def test_a_self_candidate_is_rejected_before_any_branch_is_enumerated(self, monkeypatch):
+        theory, final = _thrown(7)
+
+        def enumerating(*args, **kwargs):
+            raise AssertionError("enumerated branches before checking the candidates")
+
+        monkeypatch.setattr(causation, "enumerate_branches", enumerating)
+        with pytest.raises(SelfCauseQueryError):
+            classify_causes(theory, final, lit("shatters"), candidates=[lit("t1"), lit("shatters")])
+
     def test_effect_must_hold_in_the_outcome(self, suzy):
         with pytest.raises(PreconditionNotInFinalStateError):
             classify_causes(suzy, interp("throws_suzy"), lit("shatters"))
@@ -608,11 +618,11 @@ class TestCounterfactualReuse:
         assert checked > 1000
 
 
-def _classify_per_branch(theory, final, effect, context, fresh):
-    """``classify_causes`` with one uncached ``actual_cause`` per branch;
-    appends each verdict to ``fresh``, in the order of the checks."""
+def _classify_per_branch(theory, final, effect, branches, fresh):
+    """``classify_causes`` with one uncached ``actual_cause`` per branch
+    of ``branches``, the branches that end in ``final``; appends each
+    verdict to ``fresh``, in the order of the checks."""
     assert causation._verdict_memo.get() is None
-    branches = list(enumerate_branches(theory, context, target=final))
     out = {}
     for cand in default_candidates(theory, final, effect):
         query = CauseQuery(cand, effect)
@@ -657,13 +667,15 @@ class TestVerdictMemo:
         for theory, context in random_cases(300):
             finals = {branch.final_state.interp for branch in enumerate_branches(theory, context)}
             for final in sorted(finals, key=sorted):
+                # Every effect of one final state reads the same branches.
+                branches = list(enumerate_branches(theory, context, target=final))
                 effects = [Literal(a) for a in sorted(final)]
                 effects += [Literal(a, False) for a in sorted(theory.vocabulary - final)]
                 for effect in effects:
                     fresh = []
                     memoized.clear()
                     try:
-                        want = _classify_per_branch(theory, final, effect, context, fresh)
+                        want = _classify_per_branch(theory, final, effect, branches, fresh)
                     except CPLogicError as err:  # the memo must raise the same error
                         with pytest.raises(type(err)):
                             classify_causes(theory, final, effect)

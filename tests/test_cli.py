@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from cplogic import corpus
-from cplogic.cli import _prob_text, _render_tree, main
+from cplogic.cli import _prob_text, main
 from cplogic.engine import build_tree, distribution
-from cplogic.textio import format_interp, load_theory, parse_context
+from cplogic.textio import format_interp, format_tree, load_theory, parse_context
 
 
 @pytest.fixture
@@ -174,6 +174,17 @@ class TestTree:
         path.write_text("", encoding="utf-8")
         assert main(["tree", str(path)]) == 0
         assert "{}" in capsys.readouterr().out
+
+    def test_policy_labels_may_have_spaces_after_commas(self, files, capsys):
+        outputs = []
+        for policy in ("r2,r1", "r2, r1"):
+            assert main([
+                "tree", files["suzy_billy.cpl"],
+                "--context", "throws_suzy,throws_billy", "--policy", policy,
+            ]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.splitlines()[1].strip().startswith("r2")
 
     def test_unknown_policy_label_exits_2(self, files):
         assert main([
@@ -367,7 +378,7 @@ class TestStreamedTree:
     def test_tree_lines_come_from_a_generator(self):
         theory = load_theory(corpus.read_text("suzy_billy.cpl"))
         tree = build_tree(theory, parse_context("throws_suzy,throws_billy"))
-        lines = _render_tree(tree)
+        lines = format_tree(tree)
         assert inspect.isgenerator(lines)
         assert next(lines) == "{throws_billy, throws_suzy}"
         assert next(lines) == "  r1 -> shatters (9/10)"

@@ -41,7 +41,7 @@ from cplogic.errors import (
     UnknownAtomError,
     UnknownLabelError,
 )
-from cplogic.textio import export_tree_dot, load_theory, parse_formula, parse_story
+from cplogic.textio import export_tree_dot, format_tree, load_theory, parse_formula, parse_story
 
 
 def interp(names: str) -> frozenset:
@@ -552,6 +552,23 @@ def _dot_reference(tree):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def _walk_reference(tree):
+    """The per-path walk, written recursively as an oracle: every
+    ``(depth, parent, edge, node)`` step as ids, in pre-order, and every
+    leaf's id with its path mass."""
+    steps, leaves = [], []
+
+    def walk(depth, parent, edge, node, mass):
+        steps.append((depth, id(parent), id(edge), id(node)))
+        if not node.edges:
+            leaves.append((id(node), mass))
+        for out in node.edges:
+            walk(depth + 1, node, out, out.child, mass * out.prob)
+
+    walk(0, None, None, tree.root, Fraction(1))
+    return steps, leaves
+
+
 class TestSharedTree:
     def test_prob_formula_matches_the_per_path_sum_under_every_policy(self):
         from randgen import all_policies, random_cases
@@ -598,6 +615,20 @@ class TestSharedTree:
         monkeypatch.setattr(engine.ExecutionTree, "leaves_with_mass", per_path)
         half = Fraction(1, 2**20)
         assert distribution(tree) == {ctx | interp("shatters"): 1 - half, ctx: half}
+
+    def test_walks_and_renderings_match_the_recursive_references_on_random_theories(self):
+        from randgen import random_cases
+
+        for theory, context in random_cases(300):
+            for policy in (None, [law.label for law in reversed(theory.laws)]):
+                tree = build_tree(theory, context, policy=policy)
+                steps, leaves = _walk_reference(tree)
+                walked = [(depth, id(parent), id(edge), id(node)) for depth, parent, edge, node in tree.walk()]
+                assert walked == steps
+                assert [id(node) for node in tree.nodes()] == [step[3] for step in steps]
+                assert [(id(node), mass) for node, mass in tree.leaves_with_mass()] == leaves
+                assert list(format_tree(tree)) == _render_reference(tree)
+                assert export_tree_dot(tree) == _dot_reference(tree)
 
     def test_renderings_of_a_shared_tree_are_per_path(self, tmp_path, capsys):
         text, ctx = _throwers(3)
@@ -717,7 +748,8 @@ class TestMaskStates:
         from randgen import all_policies, random_cases
 
         for theory, context in random_cases(2000):
-            assert _tree_rows(build_tree(theory, context)) == _tree_rows(reference.build_tree(theory, context))
+            ref_tree = reference.build_tree(theory, context)
+            assert _tree_rows(build_tree(theory, context)) == _tree_rows(ref_tree)
             want = list(reference.enumerate_branches(theory, context))
             _assert_same_branches(enumerate_branches(theory, context), want)
             # With a target, the walk yields the branches that end there,
@@ -726,13 +758,15 @@ class TestMaskStates:
                 assert [branch.events for branch in enumerate_branches(theory, context, final)] == [
                     branch.events for branch in want if branch.final_state.interp == final
                 ]
-            for formula in _formulas(theory):
+            # One fold of the reference tree gives every formula's value.
+            formulas = _formulas(theory)
+            for formula, want in zip(formulas, reference.fold_formulas(ref_tree, formulas)):
                 value = prob_formula(theory, context, formula)
                 assert isinstance(value, Fraction)
-                assert value == reference.prob_formula(theory, context, formula)
+                assert value == want
             # The reference's distribution is the same under every policy
             # (criterion 2), so one reference tree serves all of them.
-            dist = reference.distribution(reference.build_tree(theory, context))
+            dist = reference.distribution(ref_tree)
             for policy in all_policies(theory):
                 assert distribution(build_tree(theory, context, policy=list(policy))) == dist
 
