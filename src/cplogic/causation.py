@@ -118,11 +118,11 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
 
     Laws that never fired are kept as they are. A law that fired with a
     realized outcome is replaced by the deterministic law producing that
-    outcome from the same body. A law that fired without visible effect
-    is dropped entirely. Events whose law is not part of ``theory`` are
-    ignored, so a branch of a larger theory can be applied to a
-    restriction of it. A fired law that already is deterministic is
-    kept as it is, and a theory whose laws all stay is returned itself.
+    outcome from the same body; one that fired without visible effect,
+    which needs residual probability, is dropped. Events whose law is
+    not in ``theory`` are ignored, so a branch of a larger theory applies
+    to a restriction of it. A fired law that already is deterministic
+    is kept as it is, and a theory whose laws all stay is returned itself.
     """
     realized: dict[str, object] = {}
     for event in branch.events:
@@ -133,7 +133,8 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
             raise BranchTheoryMismatchError(
                 f"law {event.label} fires twice in the branch"
             )
-        if event.outcome is not NO_EFFECT and event.outcome not in law.head_atoms:
+        if not (law.outcomes.allows_no_effect if event.outcome is NO_EFFECT
+                else event.outcome in law.head_atoms):
             raise BranchTheoryMismatchError(
                 f"branch realizes {event.outcome} which law {event.label} cannot produce"
             )

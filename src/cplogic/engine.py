@@ -27,12 +27,12 @@ is one of its own, then calls the kernel; ``replay_story`` goes through
 it, since a story is user input. The tree builder and the branch
 walker call the kernel unchecked, as their moves come from their ready
 lists and the laws' outcome tables. They carry each state's applicable
-laws down their stacks and, after a step, recheck only the laws that
-the numbering's ``pos_users`` and ``neg_users`` tie to the new atom or
-to atoms that left the overestimate. ``build_tree`` computes a child's
-``(interp_bits, fired_bits)`` key from its parent's masks and reserves
-it when it pushes the child, so each distinct state is stepped into
-once: 2k+1 nodes and 2k steps on k thrown throwers. ``overestimate``
+laws along and, after a step, recheck only the laws that the
+numbering's ``pos_users`` and ``neg_users`` tie to the new atom or to
+atoms that left the overestimate. ``build_tree`` goes level by level
+and keys each state by its ``(interp_bits, fired_bits)``, computed
+from its parent's masks, so each distinct state is stepped into once:
+2k+1 nodes and 2k steps on k thrown throwers. ``overestimate``
 and ``applicable_laws`` compute from scratch; the walkers call the
 latter only at the root. The fixpoint ``overestimate`` works on masks
 only, in and out; a state's ``over`` is its one frozenset view.
@@ -468,66 +468,59 @@ def build_tree(
 
     A subtree depends only on its root's ``(interp, fired)``, so equal
     states share one ``TreeNode``: the result is a DAG whose per-path
-    walk (``ExecutionTree.walk``) sees the full tree. A child's
-    key comes from its parent's masks before any step, and is reserved
-    when the child is pushed, so each distinct state is stepped into,
-    given its applicable laws and expanded once. The builder keeps an
-    explicit stack, so depth is not bounded by Python's recursion limit.
+    walk (``ExecutionTree.walk``) sees the full tree. Every step fires
+    one law, so equal states lie on the same level. The builder goes
+    down level by level, stepping into each distinct child key of the
+    next level once, then makes the internal nodes bottom-up, deepest
+    level first. It does not recurse, so depth is not bounded by
+    Python's recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
     bit = theory.numbering.bit
-    # Per law, each outcome of its table with its atom's bit (0 for
-    # NO_EFFECT), which a child's key ORs into its parent's interp_bits.
-    moves = [[(outcome, bit(outcome)) for outcome, _ in law.outcomes.pairs] for law in laws]
-    root, root_ready = _root(theory, context)
-    if not root_ready:
-        return ExecutionTree(theory, TreeNode(root, None, ()))
+    # Per law, (outcome, prob, bit) along its table; a child's key ORs
+    # the bit (0 for NO_EFFECT) into its parent's interp_bits.
+    moves = [[(outcome, prob, bit(outcome)) for outcome, prob in law.outcomes.pairs] for law in laws]
+    root, ready = _root(theory, context)
     root_key = root.interp_bits, root.fired_bits
-    # (interp_bits, fired_bits) -> TreeNode, or None from the push of an
-    # internal node's state until its node is made; a leaf is made when
-    # it is stepped into. Every step fires one law, so a key is reached
-    # only from the level above it, and when a node of that level
-    # expands, all its nodes expanded before are complete: a child key
-    # already here has its node.
-    built: dict = {root_key: None}
-    # An internal node's state is pushed with its key, its applicable
-    # laws' positions and plan None. If expanding it pushes new children
-    # above it, plan becomes the fired law and its children's keys, in
-    # outcome order, and the node is made once they are.
-    stack: list = [(root_key, root, root_ready, None)]
-    while stack:
-        key, state, ready, plan = stack[-1]
-        if plan is None:
+    # levels[d]: (interp_bits, fired_bits) -> (state, ready) of each
+    # distinct state d steps down, until it becomes a leaf TreeNode or
+    # the (state, pos) of the law that fires there.
+    levels = []
+    level = {root_key: (root, ready)}
+    while level:
+        levels.append(level)
+        below: dict = {}
+        for key, (state, ready) in level.items():
+            if not ready:
+                level[key] = TreeNode(state, None, ())
+                continue
             # ready is in theory order, so file order takes its first law.
             pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
-            law = laws[pos]
             interp = state.interp_bits
             fired = state.fired_bits | 1 << pos
-            keys = []
-            top = len(stack)
-            for outcome, b in moves[pos]:
-                child_key = interp | b, fired
-                keys.append(child_key)
-                if child_key not in built:
+            for outcome, _, b in moves[pos]:
+                if (interp | b, fired) not in below:
                     child = _step(theory, state, pos, outcome)
-                    child_ready = _next_ready(theory, state, ready, pos, outcome, child)
-                    if child_ready:
-                        built[child_key] = None
-                        stack.append((child_key, child, child_ready, None))
-                    else:
-                        built[child_key] = TreeNode(child, None, ())
-            if len(stack) > top:
-                stack[top - 1] = (key, state, ready, (law, keys))
-                continue
-        else:
-            law, keys = plan
-        stack.pop()
-        built[key] = TreeNode(state, law, tuple([
-            TreeEdge(outcome, prob, built[child_key])
-            for (outcome, prob), child_key in zip(law.outcomes.pairs, keys)
-        ]))
-    return ExecutionTree(theory, built[root_key])
+                    ready_below = _next_ready(theory, state, ready, pos, outcome, child)
+                    # Keyed by the child's own (equal) masks, sharing their ints.
+                    below[child.interp_bits, child.fired_bits] = child, ready_below
+            level[key] = state, pos
+        level = below
+    # Deepest level first, so that a node's children, one level down, are
+    # made before it; the deepest level holds leaves only.
+    while levels:
+        level = levels.pop()
+        for key, entry in level.items():
+            if isinstance(entry, tuple):
+                state, pos = entry
+                interp = state.interp_bits
+                fired = state.fired_bits | 1 << pos
+                level[key] = TreeNode(state, laws[pos], tuple([
+                    TreeEdge(outcome, prob, below[interp | b, fired]) for outcome, prob, b in moves[pos]
+                ]))
+        below = level
+    return ExecutionTree(theory, below[root_key])
 
 
 def enumerate_branches(
@@ -595,13 +588,14 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
     events = []
     for step in story.steps:
         law = theory.law(step.label)
-        status = law_status(theory, state, law)
-        if status is not LawStatus.APPLICABLE:
+        try:
+            state = fire(theory, state, law, step.outcome)
+        except NotApplicableError:
+            status = law_status(theory, state, law)
             where = f" (line {step.line})" if step.line else ""
             raise IllegalStepError(
                 f"law {step.label} is {status.value} at this point in the story{where}"
-            )
-        state = fire(theory, state, law, step.outcome)
+            ) from None
         states.append(state)
         events.append(Event(step.label, step.outcome))
     return Branch(tuple(states), tuple(events))

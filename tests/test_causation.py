@@ -26,6 +26,7 @@ from cplogic.core import Atom, CPLaw, HeadAlternative, Literal, Theory, literal_
 from cplogic.engine import (
     NO_EFFECT,
     Branch,
+    Event,
     LawStatus,
     enumerate_branches,
     law_status,
@@ -33,6 +34,7 @@ from cplogic.engine import (
     replay_story,
 )
 from cplogic.errors import (
+    BranchTheoryMismatchError,
     CPLogicError,
     EffectNeverHoldsError,
     ExogenousForcedError,
@@ -84,6 +86,13 @@ class TestFixStory:
         )
         fixed = fix_story(suzy, replay_story(suzy, story))
         assert [law.label for law in fixed.laws] == ["r1"]
+
+    def test_no_effect_firing_needs_residual_probability(self):
+        theory = load_theory("a.\nb:1/2 <- a.\n")
+        state = replay_story(theory, parse_story("context.\n", theory)).final_state
+        branch = Branch((state, state), (Event("r1", NO_EFFECT),))
+        with pytest.raises(BranchTheoryMismatchError, match="realizes none which law r1 cannot produce"):
+            fix_story(theory, branch)
 
     def test_events_outside_the_theory_are_ignored(self, suzy, suzy_branch):
         restricted = Theory((suzy.laws[0],), suzy.exogenous)
@@ -619,14 +628,27 @@ class TestCounterfactualReuse:
 
 
 def _classify_per_branch(theory, final, effect, branches, fresh):
-    """``classify_causes`` with one uncached ``actual_cause`` per branch
-    of ``branches``, the branches that end in ``final``; appends each
-    verdict to ``fresh``, in the order of the checks."""
+    """``classify_causes`` from uncached ``actual_cause`` checks over
+    ``branches``, the branches that end in ``final``; appends each
+    branch's verdict to ``fresh``, in the order of the branches.
+
+    Branches that share the ordered sequence of events before the
+    effect share one check: the relevant laws fired in it or were
+    impossible at the cut, and such laws never fire later, so the
+    verdict is fixed by the context and that sequence. The memo under
+    test keys on the unordered set instead."""
     assert causation._verdict_memo.get() is None
     out = {}
     for cand in default_candidates(theory, final, effect):
         query = CauseQuery(cand, effect)
-        verdicts = [actual_cause(theory, branch, query) for branch in branches]
+        checked = {}  # events before the effect, in order -> verdict
+        verdicts = []
+        for branch in branches:
+            prefix = branch.events[:effect_index(branch, effect)]
+            verdict = checked.get(prefix)
+            if verdict is None:
+                verdict = checked[prefix] = actual_cause(theory, branch, query)
+            verdicts.append(verdict)
         fresh.extend(verdicts)
         supporting = sum(verdict.is_cause for verdict in verdicts)
         if branches and supporting == len(branches):

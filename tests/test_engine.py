@@ -433,6 +433,15 @@ class TestChainScale:
         # initial state needs the full fixpoint.
         assert calls["overestimate"] == 1
 
+    def test_a_valid_replay_checks_each_step_once(self, calls):
+        # fire checks each step; law_status only words a rejected one.
+        theory = _chain(self.DEPTH, ":9/10")
+        text = "context a0.\n" + "".join(f"r{i} -> a{i}.\n" for i in range(1, self.DEPTH + 1))
+        replay_story(theory, parse_story(text, theory))
+        assert calls["law_status"] == 0
+        with pytest.raises(IllegalStepError, match=r"law r2 is pending at this point in the story \(line 2\)"):
+            replay_story(theory, parse_story("context a0.\nr2 -> a2.\n", theory))
+
 
 class TestNoEffect:
     def test_identity_survives_pickle_and_deepcopy(self, suzy):
