@@ -133,8 +133,7 @@ def fix_story(theory: Theory, branch: Branch) -> Theory:
             raise BranchTheoryMismatchError(
                 f"law {event.label} fires twice in the branch"
             )
-        if not (law.outcomes.allows_no_effect if event.outcome is NO_EFFECT
-                else event.outcome in law.head_atoms):
+        if law.outcomes.prob(event.outcome) is None:
             raise BranchTheoryMismatchError(
                 f"branch realizes {event.outcome} which law {event.label} cannot produce"
             )

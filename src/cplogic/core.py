@@ -225,9 +225,12 @@ class OutcomeTable(Record):
         setfield(self, "scale", scale)
         setfield(self, "weights", weights)
 
-    @property
-    def allows_no_effect(self) -> bool:
-        return self.pairs[-1][0] is NO_EFFECT
+    def prob(self, outcome) -> Probability | None:
+        """The outcome's probability, or None when the law cannot produce it."""
+        for known, prob in self.pairs:
+            if known == outcome:
+                return prob
+        return None
 
 
 class CPLaw(Record):
@@ -269,9 +272,11 @@ class CPLaw(Record):
     def outcomes(self) -> OutcomeTable:
         """The event's outcomes, as exact ratios and as integer weights."""
         pairs = [(alt.atom, alt.prob) for alt in self.head]
-        residual = self.no_effect_prob
-        if residual.numerator > 0:  # an int test; Fraction > 0 goes through numbers.Rational
-            pairs.append((NO_EFFECT, residual))
+        total = self.head_sum
+        # An int test, before any residual Fraction is made; Fraction < 1
+        # goes through numbers.Rational.
+        if total.numerator < total.denominator:
+            pairs.append((NO_EFFECT, self.no_effect_prob))
         scale = lcm(*[prob.denominator for _, prob in pairs])
         weights = tuple([prob.numerator * (scale // prob.denominator) for _, prob in pairs])
         return OutcomeTable(tuple(pairs), scale, weights)
@@ -524,17 +529,39 @@ def check_known(atoms: AbstractSet[Atom], vocabulary: AbstractSet[Atom], what: s
 
 
 def _eval(formula: Formula, interp: AbstractSet[Atom]) -> bool:
-    if isinstance(formula, FormulaAtom):
-        return formula.atom in interp
-    if isinstance(formula, Negation):
-        return not _eval(formula.operand, interp)
-    if isinstance(formula, Conjunction):
-        return all(_eval(part, interp) for part in formula.parts)
-    if isinstance(formula, Disjunction):
-        return any(_eval(part, interp) for part in formula.parts)
-    if isinstance(formula, Constant):
-        return formula.value
-    raise TypeError(f"not a formula: {formula!r}")
+    """Explicit stack: nesting depth has no recursion limit. A frame is
+    None for an open negation; for an open conjunction or disjunction
+    it is the value that decides it early (False or True) and its
+    parts still to evaluate, last part first."""
+    frames: list = []
+    node = formula
+    while True:
+        while isinstance(node, Negation):
+            frames.append(None)
+            node = node.operand
+        if isinstance(node, FormulaAtom):
+            value = node.atom in interp
+        elif isinstance(node, (Conjunction, Disjunction)):
+            decisive = isinstance(node, Disjunction)
+            frames.append((decisive, list(reversed(node.parts))))
+            value = not decisive  # what an empty one evaluates to
+        elif isinstance(node, Constant):
+            value = node.value
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        # Pass the value up until an open connective has a part to evaluate.
+        while frames:
+            frame = frames[-1]
+            if frame is None:
+                value = not value
+            elif bool(value) is frame[0] or not frame[1]:
+                value = bool(value)
+            else:
+                node = frame[1].pop()
+                break
+            frames.pop()
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ A state stores its three sets as ``int`` masks over its theory's
 ``numbering`` (``core.Numbering``: one bit per atom and per law), so a
 step ORs in one bit instead of copying sets, and the public ``interp``,
 ``fired`` and ``over`` frozensets are views built only when read.
-States from another theory object are converted through those views.
+Every entry point that takes a state passes it through ``_adopt``,
+which converts a state of another theory object through those views.
 
 Successor states are incremental, and the overestimate is computed on
 demand. One stepping kernel, ``_step``, makes every successor: it
@@ -22,9 +23,9 @@ the full fixpoint runs the first time something reads it. Only a
 negated body, the target cut of ``enumerate_branches`` and the
 causation queries read it: a law without negated body is applicable
 once its positive body is true. The public ``fire`` checks that the
-theory holds the law, that the law is applicable and that the outcome
-is one of its own, then calls the kernel; ``replay_story`` goes through
-it, since a story is user input. The tree builder and the branch
+theory holds the law, that the law is applicable and that its outcome
+table knows the outcome, then calls the kernel; ``replay_story`` goes
+through it, since a story is user input. The tree builder and the branch
 walker call the kernel unchecked, as their moves come from their ready
 lists and the laws' outcome tables. They carry each state's applicable
 laws along and, after a step, recheck only the laws that the
@@ -33,8 +34,8 @@ atoms that left the overestimate. ``build_tree`` goes level by level
 and keys each state by its ``(interp_bits, fired_bits)``, computed
 from its parent's masks, so each distinct state is stepped into once:
 2k+1 nodes and 2k steps on k thrown throwers. ``overestimate``
-and ``applicable_laws`` compute from scratch; the walkers call the
-latter only at the root. The fixpoint ``overestimate`` works on masks
+and ``applicable_laws`` compute from scratch, as the walkers do only
+for the root's ready list. The fixpoint ``overestimate`` works on masks
 only, in and out; a state's ``over`` is its one frozenset view.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
@@ -140,9 +141,6 @@ class State:
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        if self.theory is other.theory:
-            return (self.interp_bits == other.interp_bits and self.fired_bits == other.fired_bits
-                    and self.over_bits == other.over_bits)
         return (self.interp, self.fired, self.over) == (other.interp, other.fired, other.over)
 
     def __hash__(self):
@@ -203,6 +201,11 @@ class TreeNode(Record):
         setfield(self, "state", state)
         setfield(self, "law", law)
         setfield(self, "edges", edges)
+
+    def __hash__(self):
+        # Equal nodes have equal states and laws. Hashing the edges too
+        # would walk every path below the node, recursively.
+        return hash((self.state, self.law))
 
     @property
     def is_leaf(self) -> bool:
@@ -289,7 +292,10 @@ def initial_state(theory: Theory, context: AbstractSet[Atom]) -> State:
 
 
 def _adopt(theory: Theory, state: State) -> State:
-    """A state of another theory object, converted through its views."""
+    """``state`` as a state of ``theory``: itself when it already is one,
+    otherwise a state of another theory object, converted through its views."""
+    if state.theory is theory:
+        return state
     numbering = theory.numbering
     return State(
         theory,
@@ -329,8 +335,7 @@ def law_status(theory: Theory, state: State, law: CPLaw) -> LawStatus:
     every negated atom to be out of the overestimate for good.
     """
     i = _position(theory, law)
-    if state.theory is not theory:
-        state = _adopt(theory, state)
+    state = _adopt(theory, state)
     numbering = theory.numbering
     if state.fired_bits >> i & 1:
         return LawStatus.FIRED
@@ -351,21 +356,16 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     outcome one of its own; the step itself is ``_step``.
     """
     i = _position(theory, law)
-    if state.theory is not theory:
-        state = _adopt(theory, state)
+    state = _adopt(theory, state)
     if not _applicable(theory.numbering, state, i):
         raise NotApplicableError(
             f"law {law.label} is {law_status(theory, state, law).value}, not applicable"
         )
     if outcome is NO_EFFECT:
-        if not law.outcomes.allows_no_effect:
-            raise InvalidOutcomeError(
-                f"law {law.label} has no residual probability for a no-effect firing"
-            )
-    elif not isinstance(outcome, Atom) or outcome not in law.head_atoms:
-        raise InvalidOutcomeError(
-            f"{outcome} is not a head atom of law {law.label}"
-        )
+        if law.outcomes.prob(outcome) is None:
+            raise InvalidOutcomeError(f"law {law.label} has no residual probability for a no-effect firing")
+    elif not isinstance(outcome, Atom) or law.outcomes.prob(outcome) is None:
+        raise InvalidOutcomeError(f"{outcome} is not a head atom of law {law.label}")
     return _step(theory, state, i, outcome)
 
 
@@ -402,8 +402,7 @@ def _step(theory: Theory, state: State, i: int, outcome) -> State:
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
-    if state.theory is not theory:
-        state = _adopt(theory, state)
+    state = _adopt(theory, state)
     numbering = theory.numbering
     return [law for i, law in enumerate(theory.laws) if _applicable(numbering, state, i)]
 
@@ -411,8 +410,8 @@ def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
 def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, list[int]]:
     """The initial state and the positions of its applicable laws."""
     root = initial_state(theory, context)
-    position = theory.numbering.position
-    return root, [position[law.label] for law in applicable_laws(theory, root)]
+    numbering = theory.numbering
+    return root, [i for i in range(len(theory.laws)) if _applicable(numbering, root, i)]
 
 
 def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcome, child: State) -> list[int]:

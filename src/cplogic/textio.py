@@ -321,19 +321,11 @@ def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
         law = theory.law(label)
     except UnknownLabelError:
         raise UnknownLabelError(f"unknown law label {label!r} (line {line_no})") from None
-    if sc.try_keyword("none"):
-        if not law.outcomes.allows_no_effect:
-            raise NoEffectNotAllowedError(
-                f"law {label} always has a visible effect (line {line_no})"
-            )
-        outcome: object = NO_EFFECT
-    else:
-        atom = sc.atom()
-        if atom not in law.head_atoms:
-            raise OutcomeNotInHeadError(
-                f"{atom} is not a head atom of law {label} (line {line_no})"
-            )
-        outcome = atom
+    outcome = NO_EFFECT if sc.try_keyword("none") else sc.atom()
+    if law.outcomes.prob(outcome) is None:
+        if outcome is NO_EFFECT:
+            raise NoEffectNotAllowedError(f"law {label} always has a visible effect (line {line_no})")
+        raise OutcomeNotInHeadError(f"{outcome} is not a head atom of law {label} (line {line_no})")
     sc.expect_symbol(".")
     return StoryStep(label, outcome, line_no)
 
@@ -343,8 +335,8 @@ def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
 
 
 #: Deepest nesting of parentheses and negations a formula may use. The
-#: parser and the evaluator recurse at every level, so the cap keeps any
-#: accepted formula far inside Python's recursion limit.
+#: parser recurses at every level, so the cap keeps any accepted formula
+#: far inside Python's recursion limit; the evaluator needs no cap.
 MAX_FORMULA_NESTING = 100
 
 
@@ -495,7 +487,7 @@ def export_tree_dot(tree, theory: Theory | None = None) -> str:
         for i, event in enumerate(tree.events):
             text = f"{event.label}: {event.outcome}"
             if law_of is not None:
-                prob = next((p for o, p in law_of(event.label).outcomes.pairs if o == event.outcome), None)
+                prob = law_of(event.label).outcomes.prob(event.outcome)
                 if prob is None:
                     raise InvalidOutcomeError(f"{event.outcome} is not an outcome of law {event.label}")
                 text += f" {fraction_text(prob)}"

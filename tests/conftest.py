@@ -1,5 +1,24 @@
 import pytest
 
+from cplogic import corpus
+from cplogic.core import Atom
+
+
+def interp(names: str) -> frozenset:
+    """The atoms named in a space-separated string."""
+    return frozenset(Atom(n) for n in names.split()) if names else frozenset()
+
+
+@pytest.fixture
+def suzy():
+    return corpus.theory("suzy_billy")
+
+
+@pytest.fixture
+def bogus():
+    return corpus.theory("bogus_prevention")
+
+
 # Collected pass/fail per acceptance criterion, printed as a summary so
 # a plain `pytest` run shows one line per criterion.
 _RESULTS: dict = {}

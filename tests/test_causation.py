@@ -43,29 +43,16 @@ from cplogic.errors import (
     UnknownAtomError,
 )
 from cplogic.textio import load_theory, parse_literal, parse_story, serialize_theory
+from conftest import interp
 
 
 def lit(text: str) -> Literal:
     return parse_literal(text)
 
 
-def interp(names: str) -> frozenset:
-    return frozenset(Atom(n) for n in names.split()) if names else frozenset()
-
-
-@pytest.fixture
-def suzy():
-    return corpus.theory("suzy_billy")
-
-
 @pytest.fixture
 def suzy_branch(suzy):
     return replay_story(suzy, corpus.story("suzy_billy_suzy_first.story", suzy))
-
-
-@pytest.fixture
-def bogus():
-    return corpus.theory("bogus_prevention")
 
 
 class TestFixStory:

@@ -35,6 +35,7 @@ from cplogic.core import (
     validate_theory,
 )
 from cplogic.errors import UnknownAtomError, ValidationError
+from cplogic.engine import prob_formula
 from cplogic.textio import load_theory
 
 
@@ -383,6 +384,17 @@ class TestEvalFormula:
     def test_unknown_atom_against_vocabulary(self):
         with pytest.raises(UnknownAtomError):
             eval_formula(FormulaAtom(Atom("zz")), frozenset(), vocabulary=frozenset())
+
+    @pytest.mark.parametrize("wrap", [lambda f: Conjunction((f,)), lambda f: Disjunction((f,)), Negation],
+                             ids=["conjunction", "disjunction", "negation"])
+    def test_chains_far_deeper_than_the_recursion_limit(self, wrap):
+        a = Atom("a")
+        formula = FormulaAtom(a)
+        for _ in range(10_000):  # an even number of negations
+            formula = wrap(formula)
+        assert eval_formula(formula, frozenset({a}), vocabulary=frozenset({a})) is True
+        assert eval_formula(formula, frozenset()) is False
+        assert prob_formula(load_theory("a:1/4.\n"), frozenset(), formula) == Fraction(1, 4)
 
 
 class TestLiteral:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cplogic import corpus, engine
+from cplogic.causation import fix_story
 from cplogic.cli import main
 from cplogic.core import FALSE, Atom, Conjunction, Disjunction, FormulaAtom, Negation, TRUE, Theory, eval_formula
 from cplogic.engine import (
@@ -22,6 +23,7 @@ from cplogic.engine import (
     Branch,
     Event,
     LawStatus,
+    TreeNode,
     applicable_laws,
     build_tree,
     distribution,
@@ -34,28 +36,18 @@ from cplogic.engine import (
     replay_story,
 )
 from cplogic.errors import (
+    BranchTheoryMismatchError,
     IllegalStepError,
     InvalidOutcomeError,
+    NoEffectNotAllowedError,
     NonExogenousInContextError,
     NotApplicableError,
+    OutcomeNotInHeadError,
     UnknownAtomError,
     UnknownLabelError,
 )
 from cplogic.textio import export_tree_dot, format_tree, load_theory, parse_formula, parse_story
-
-
-def interp(names: str) -> frozenset:
-    return frozenset(Atom(n) for n in names.split()) if names else frozenset()
-
-
-@pytest.fixture
-def suzy():
-    return corpus.theory("suzy_billy")
-
-
-@pytest.fixture
-def bogus():
-    return corpus.theory("bogus_prevention")
+from conftest import interp
 
 
 class TestInitialState:
@@ -200,6 +192,47 @@ class TestFire:
         state = initial_state(theory, interp("a"))
         assert law_status(theory, state, twin.law("r1")) is LawStatus.APPLICABLE
         assert fire(theory, state, twin.law("r1"), Atom("b")).interp == interp("a b")
+
+
+class TestOutcomeRule:
+    """Every site that takes an outcome from its caller asks the law's
+    outcome table, and each raises its own error class. Only ``fire``
+    insists on an ``Atom``: the others accept a name equal to one."""
+
+    THEORY = "exogenous s.\na:1/2; b:1/2 <- s.\nc:1/3 <- s.\n"
+
+    @staticmethod
+    def sites(theory, label, outcome):
+        root = initial_state(theory, interp("s"))
+        branch = Branch((root, root), (Event(label, outcome),))
+        return {
+            "fire": lambda: fire(theory, root, theory.law(label), outcome),
+            "fix_story": lambda: fix_story(theory, branch),
+            "parse_story": lambda: parse_story(f"context s.\n{label} -> {outcome}.\n", theory),
+            "export_tree_dot": lambda: export_tree_dot(branch, theory=theory),
+        }
+
+    @pytest.mark.parametrize("label, outcome, rejected", [
+        ("r1", Atom("c"), {
+            "fire": InvalidOutcomeError, "fix_story": BranchTheoryMismatchError,
+            "parse_story": OutcomeNotInHeadError, "export_tree_dot": InvalidOutcomeError,
+        }),
+        ("r1", NO_EFFECT, {
+            "fire": InvalidOutcomeError, "fix_story": BranchTheoryMismatchError,
+            "parse_story": NoEffectNotAllowedError, "export_tree_dot": InvalidOutcomeError,
+        }),
+        ("r1", "a", {"fire": InvalidOutcomeError}),
+        ("r2", NO_EFFECT, {}),
+        ("r2", Atom("c"), {}),
+    ], ids=["atom-outside-the-head", "none-on-a-total-head", "plain-str", "none-with-residual", "head-atom"])
+    def test_each_site_raises_its_own_error(self, label, outcome, rejected):
+        theory = load_theory(self.THEORY)
+        for site, call in self.sites(theory, label, outcome).items():
+            if site in rejected:
+                with pytest.raises(rejected[site]):
+                    call()
+            else:
+                call()
 
 
 class TestBuildTree:
@@ -649,6 +682,20 @@ class TestSharedTree:
         shown = capsys.readouterr().out.split("distribution over final states:")[0]
         assert shown.splitlines() == _render_reference(tree)
 
+    def test_a_node_hashes_by_its_state_and_law_not_by_its_paths(self):
+        # 2**12 paths through 25 nodes: hashing the edges would walk them all.
+        text, ctx = _throwers(12)
+        root = build_tree(load_theory(text), ctx).root
+        assert hash(root) == hash(TreeNode(root.state, root.law, ()))
+        # A chain deeper than hashing recursively could go.
+        deep = build_tree(_chain(300, ":9/10"), interp("a0")).root
+        assert hash(deep) == hash(build_tree(_chain(300, ":9/10"), interp("a0")).root)
+        # Equal nodes still hash alike.
+        text, ctx = _throwers(3)
+        nodes = list(build_tree(load_theory(text), ctx).nodes())
+        twins = list(build_tree(load_theory(text), ctx).nodes())
+        assert nodes == twins and [hash(n) for n in nodes] == [hash(n) for n in twins]
+
 
 @pytest.fixture
 def steps(monkeypatch):
@@ -998,11 +1045,12 @@ class TestIntegerFold:
         first, second = theory.laws[:2]
         assert first.outcomes.pairs == ((Atom("a"), Fraction(1, 4)), (Atom("b"), Fraction(3, 4)))
         assert (first.outcomes.scale, first.outcomes.weights) == (4, (1, 3))
-        assert not first.outcomes.allows_no_effect
+        assert first.outcomes.prob(NO_EFFECT) is None
         assert second.outcomes.pairs == ((Atom("c"), Fraction(1, 6)), (NO_EFFECT, Fraction(5, 6)))
         assert (second.outcomes.scale, second.outcomes.weights) == (6, (1, 5))
-        assert second.outcomes.allows_no_effect
+        assert second.outcomes.prob(NO_EFFECT) == Fraction(5, 6)
         assert second.outcomes is second.outcomes
+        assert (first.outcomes.prob(Atom("b")), second.outcomes.prob(Atom("a"))) == (Fraction(3, 4), None)
 
     def test_fractions_made_do_not_grow_with_the_chain(self):
         made = []
