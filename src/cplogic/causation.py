@@ -15,8 +15,11 @@ in the counterfactual. The partial-information check runs the complete
 check over every branch that could have produced an observed final
 state and reports whether the candidate is a cause in all, some, or
 none of them. A verdict depends only on the set of events that fired
-before the effect arose, not on their order, so the partial check
-computes each candidate's verdict once per such set.
+before the effect arose (the prefix set), not on their order. So the
+partial check reads each branch's effect index and prefix set once,
+builds the relevant story-fixed theory once per prefix set for all
+candidates, since it does not depend on the cause, and computes each
+candidate's verdict once per prefix set.
 """
 
 from __future__ import annotations
@@ -287,10 +290,31 @@ def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
 # ---------------------------------------------------------------------------
 # Verdicts
 
-#: Verdicts of the running ``classify_causes`` call for its current
-#: query, keyed by the set of events before the effect; unset outside
-#: such a call.
-_verdict_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+class _Classification:
+    """What the ``actual_cause`` checks of one ``classify_causes`` call
+    share, for its ``theory`` and current ``query`` (both compared by
+    identity), whose preconditions that call has checked once.
+
+    ``branches`` maps ``id(branch)`` to ``(branch, j, key)``: the index
+    where the effect first holds and the set of events before it.
+    ``stories`` maps a key to its relevant and story-fixed theories,
+    which do not read the cause; ``verdicts`` maps it to the current
+    query's verdict.
+    """
+
+    __slots__ = ("theory", "query", "branches", "stories", "verdicts")
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self.query: CauseQuery | None = None
+        self.branches: dict[int, tuple[Branch, int, frozenset]] = {}
+        self.stories: dict[frozenset, tuple[Theory, Theory]] = {}
+        self.verdicts: dict[frozenset, Verdict] = {}
+
+
+#: The running ``classify_causes`` call's ``_Classification``; unset
+#: outside such a call.
+_verdict_memo: contextvars.ContextVar[_Classification | None] = contextvars.ContextVar(
     "cplogic_verdict_memo", default=None
 )
 
@@ -301,25 +325,36 @@ _event_key = Event._values
 
 def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     """Complete-information check of one cause/effect pair on one branch."""
-    check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
-    _require_holds((query.cause, query.effect), branch.final_state)
-    j = effect_index(branch, query.effect)
-    memo = _verdict_memo.get()
-    if memo is not None:
+    run = _verdict_memo.get()
+    entry = None
+    if run is not None and run.query is query and run.theory is theory:
+        entry = run.branches.get(id(branch))
+    if entry is not None and entry[0] is branch:
         # Sound because every branch of one classify_causes call starts
         # in the same context: the relevant laws, the cut state and the
-        # story-fixed counterfactual are all fixed by the prefix set.
-        key = frozenset(map(_event_key, branch.events[:j]))
-        verdict = memo.get(key)
+        # story-fixed theory are all fixed by the prefix set.
+        _, j, key = entry
+        verdict = run.verdicts.get(key)
         if verdict is not None:
             return verdict
-    relevant = relevant_theory(theory, branch, query.effect)
+        story = run.stories.get(key)
+        if story is None:
+            relevant = relevant_theory(theory, branch, query.effect)
+            story = run.stories[key] = (relevant, fix_story(relevant, branch))
+        relevant, fixed = story
+    else:
+        run = None  # a check of its own, shared with no classification
+        check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
+        _require_holds((query.cause, query.effect), branch.final_state)
+        j = effect_index(branch, query.effect)
+        relevant = relevant_theory(theory, branch, query.effect)
+        fixed = fix_story(relevant, branch)
     counterfactual, context, prob = _counterfactual(
-        theory, fix_story(relevant, branch), branch, query.cause, query.effect
+        theory, fixed, branch, query.cause, query.effect
     )
     verdict = Verdict(prob == 0, j, relevant, counterfactual, context, prob)
-    if memo is not None:
-        memo[key] = verdict
+    if run is not None:
+        run.verdicts[key] = verdict
     return verdict
 
 
@@ -348,7 +383,8 @@ def classify_causes(
     and runs the complete-information check per branch. A candidate is a
     certain cause when every branch agrees, a possible one when at least
     one does. Branches that share the set of events before the effect
-    share one verdict, computed once per candidate during this call.
+    share one story-fixed theory during this call, and one verdict per
+    candidate.
     """
     final_interp = frozenset(final_interp)
     check_known(final_interp, theory.vocabulary, "final state")
@@ -372,22 +408,23 @@ def classify_causes(
     branches = list(enumerate_branches(theory, context, target=final_interp))
 
     verdicts: dict[Literal, PartialVerdict] = {}
-    memo: dict = {}
-    token = _verdict_memo.set(memo)
+    run = _Classification(theory)
+    token = _verdict_memo.set(run)
     try:
         for cand in candidates:
-            # The memo's keys leave out the query: it holds one
-            # candidate's verdicts, and the effect is fixed for the call.
-            memo.clear()
             if not cand.holds_in(final_interp):
                 verdicts[cand] = PartialVerdict(
                     CauseClassification.NOT_POSSIBLE, 0, len(branches)
                 )
                 continue
-            query = CauseQuery(cand, effect)
-            supporting = sum(
-                1 for b in branches if actual_cause(theory, b, query).is_cause
-            )
+            run.query = query = CauseQuery(cand, effect)
+            run.verdicts = {}
+            supporting = 0
+            for b in branches:
+                if id(b) not in run.branches:
+                    j = effect_index(b, effect)
+                    run.branches[id(b)] = (b, j, frozenset(map(_event_key, b.events[:j])))
+                supporting += actual_cause(theory, b, query).is_cause
             if branches and supporting == len(branches):
                 kind = CauseClassification.CERTAIN
             elif supporting:

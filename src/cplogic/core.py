@@ -272,13 +272,16 @@ class CPLaw(Record):
     def outcomes(self) -> OutcomeTable:
         """The event's outcomes, as exact ratios and as integer weights."""
         pairs = [(alt.atom, alt.prob) for alt in self.head]
-        total = self.head_sum
-        # An int test, before any residual Fraction is made; Fraction < 1
-        # goes through numbers.Rational.
-        if total.numerator < total.denominator:
+        # One as_integer_ratio() per probability, not the Python-level
+        # Fraction properties; the residual (d - n)/d is in lowest terms
+        # whenever n/d is.
+        ratios = [prob.as_integer_ratio() for _, prob in pairs]
+        num, den = self.head_sum.as_integer_ratio()
+        if num < den:
             pairs.append((NO_EFFECT, self.no_effect_prob))
-        scale = lcm(*[prob.denominator for _, prob in pairs])
-        weights = tuple([prob.numerator * (scale // prob.denominator) for _, prob in pairs])
+            ratios.append((den - num, den))
+        scale = lcm(*[d for _, d in ratios])
+        weights = tuple([n * (scale // d) for n, d in ratios])
         return OutcomeTable(tuple(pairs), scale, weights)
 
     @compute_once

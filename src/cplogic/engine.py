@@ -202,6 +202,29 @@ class TreeNode(Record):
         setfield(self, "law", law)
         setfield(self, "edges", edges)
 
+    def __eq__(self, other):
+        # Field by field like any record, but over an explicit stack of
+        # node pairs, each pair compared once: no recursion limit, and
+        # two equal DAGs compare in time linear in their distinct nodes.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            a, b = stack.pop()
+            pair = (id(a), id(b))
+            if a is b or pair in seen:
+                continue
+            seen.add(pair)
+            if (a.__class__ is not b.__class__ or a.state != b.state or a.law != b.law
+                    or len(a.edges) != len(b.edges)):
+                return False
+            for x, y in zip(a.edges, b.edges):
+                if x.outcome != y.outcome or x.prob != y.prob:
+                    return False
+                stack.append((x.child, y.child))
+        return True
+
     def __hash__(self):
         # Equal nodes have equal states and laws. Hashing the edges too
         # would walk every path below the node, recursively.

@@ -716,6 +716,72 @@ class TestVerdictMemo:
         assert len(branches) == 42 and len(keys) == 3 * 12
         assert len(calls) == len(keys)
 
+    def test_one_story_per_prefix_set_for_all_candidates(self, monkeypatch):
+        theory, final = _thrown(3)
+        calls = dict.fromkeys(("actual_cause", "relevant_theory", "fix_story", "prob_formula"), 0)
+        for name in calls:
+            real = getattr(causation, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(causation, name, counting)
+        classify_causes(theory, final, lit("shatters"))
+        # 3 candidates, 42 branches, 12 prefix sets: the relevant and
+        # story-fixed theories do not read the cause.
+        assert calls == {"actual_cause": 3 * 42, "relevant_theory": 12, "fix_story": 12, "prob_formula": 3 * 12}
+
+    def test_a_foreign_branch_query_or_theory_takes_the_checked_path(self, monkeypatch):
+        theory, final = _thrown(2)
+        effect = lit("shatters")
+        foreign = next(enumerate_branches(theory, final & theory.exogenous, target=final - {effect.atom}))
+        made = []  # (theory, branch, query) of each check classify_causes makes
+        checked = []  # precondition checks
+        probes = []  # per probe: what it raised or returned, and the checks it made
+        real_check, real_holds, real_prob = causation.actual_cause, causation._require_holds, causation.prob_formula
+
+        def recording(*args):
+            made.append(args)
+            return real_check(*args)
+
+        def holds(*args):
+            checked.append(args)
+            return real_holds(*args)
+
+        def outcome(*args):
+            before = len(checked)
+            try:
+                result = real_check(*args)
+            except CPLogicError as err:
+                result = (type(err), str(err))
+            return result, len(checked) - before
+
+        def probing(*args, **kwargs):
+            if not probes:  # inside the first check of the first candidate
+                _, branch, query = made[-1]
+                probes.append(None)  # the probes' own checks do not probe
+                probes[:] = [
+                    outcome(theory, foreign, query),
+                    outcome(theory, branch, CauseQuery(query.cause, query.effect)),
+                    outcome(Theory(theory.laws, theory.exogenous), branch, query),
+                ]
+            return real_prob(*args, **kwargs)
+
+        monkeypatch.setattr(causation, "actual_cause", recording)
+        monkeypatch.setattr(causation, "_require_holds", holds)
+        monkeypatch.setattr(causation, "prob_formula", probing)
+        got = classify_causes(theory, final, effect)
+        assert len(checked) == 3  # the probes' own: the classification makes none
+        _, branch, query = made[0]
+        # Each raises or answers as a direct call does, after its own checks.
+        assert probes == [outcome(theory, foreign, query)] + [outcome(theory, branch, query)] * 2
+        assert probes[0] == ((PreconditionNotInFinalStateError,
+                              "shatters does not hold in the branch's final state"), 1)
+        assert probes[1][1] == 1 and probes[1][0].is_cause
+        monkeypatch.undo()
+        assert got == classify_causes(theory, final, effect)
+
     def test_memo_is_unset_after_the_call_returns_or_raises(self, suzy, suzy_branch, monkeypatch):
         outcome = interp("throws_suzy throws_billy shatters")
         query = CauseQuery(lit("throws_suzy"), lit("shatters"))

@@ -23,6 +23,7 @@ from cplogic.engine import (
     Branch,
     Event,
     LawStatus,
+    TreeEdge,
     TreeNode,
     applicable_laws,
     build_tree,
@@ -696,6 +697,25 @@ class TestSharedTree:
         twins = list(build_tree(load_theory(text), ctx).nodes())
         assert nodes == twins and [hash(n) for n in nodes] == [hash(n) for n in twins]
 
+    def test_trees_compare_without_recursion_and_each_shared_node_once(self):
+        # Comparing edge by edge recursively raised RecursionError at 150 links.
+        text = "exogenous a0.\n" + "".join(f"a{i}:9/10 <- a{i - 1}.\n" for i in range(1, 1001))
+        deep, twin = (build_tree(load_theory(text), interp("a0")) for _ in range(2))
+        assert deep == twin
+        # 2**200 paths through 201 nodes: a walk per path would never end.
+        state, law = deep.root.state, deep.root.law
+
+        def diamonds(n):
+            node = TreeNode(state, None, ())
+            for _ in range(n):
+                node = TreeNode(state, law, (TreeEdge(Atom("a1"), Fraction(9, 10), node),
+                                             TreeEdge(NO_EFFECT, Fraction(1, 10), node)))
+            return node
+
+        assert diamonds(200) == diamonds(200)
+        assert diamonds(200) != diamonds(199)  # the leaves differ, 200 pairs down
+        assert (diamonds(1) == deep.root.edges[0]) is False  # another class
+
 
 @pytest.fixture
 def steps(monkeypatch):
@@ -1051,6 +1071,29 @@ class TestIntegerFold:
         assert second.outcomes.prob(NO_EFFECT) == Fraction(5, 6)
         assert second.outcomes is second.outcomes
         assert (first.outcomes.prob(Atom("b")), second.outcomes.prob(Atom("a"))) == (Fraction(3, 4), None)
+
+    def test_outcome_tables_match_the_fraction_reference_on_the_corpus_and_random_theories(self):
+        from math import lcm
+
+        from randgen import random_cases
+
+        theories = [corpus.theory(entry.theory_file) for entry in corpus.entries()]
+        theories += [theory for theory, _ in random_cases(300)]
+        checked = 0
+        for theory in theories:
+            for law in theory.laws:
+                pairs = [(alt.atom, alt.prob) for alt in law.head]
+                if law.no_effect_prob > 0:
+                    pairs.append((NO_EFFECT, Fraction(1) - sum(alt.prob for alt in law.head)))
+                scale = lcm(*[prob.denominator for _, prob in pairs])
+                weights = tuple(prob.numerator * (scale // prob.denominator) for _, prob in pairs)
+                table = law.outcomes
+                assert table.pairs == tuple(pairs)
+                assert (table.scale, table.weights) == (scale, weights)
+                assert [type(w) for w in table.weights] == [int] * len(pairs)
+                assert [Fraction(w, table.scale) for w in table.weights] == [p for _, p in pairs]
+                checked += 1
+        assert checked > 900
 
     def test_fractions_made_do_not_grow_with_the_chain(self):
         made = []
