@@ -19,7 +19,11 @@ before the effect arose (the prefix set), not on their order. So the
 partial check reads each branch's effect index and prefix set once,
 builds the relevant story-fixed theory once per prefix set for all
 candidates, since it does not depend on the cause, and computes each
-candidate's verdict once per prefix set.
+candidate's verdict once per prefix set. A law that fired with no
+visible effect drops out of the story-fixed theory, so many prefix sets
+fix equal theories (k of them for the k·2^(k−1) prefix sets of k thrown
+throwers), and each candidate's counterfactual is computed once per
+distinct story-fixed theory.
 """
 
 from __future__ import annotations
@@ -298,18 +302,23 @@ class _Classification:
     ``branches`` maps ``id(branch)`` to ``(branch, j, key)``: the index
     where the effect first holds and the set of events before it.
     ``stories`` maps a key to its relevant and story-fixed theories,
-    which do not read the cause; ``verdicts`` maps it to the current
-    query's verdict.
+    which do not read the cause; the story-fixed one is interned in
+    ``fixed``, so keys with equal story-fixed theories share one
+    object. ``verdicts`` maps a key to the current query's verdict,
+    and ``counterfactuals`` maps the id of an interned story-fixed
+    theory to the current query's ``_counterfactual``.
     """
 
-    __slots__ = ("theory", "query", "branches", "stories", "verdicts")
+    __slots__ = ("theory", "query", "branches", "stories", "fixed", "verdicts", "counterfactuals")
 
     def __init__(self, theory: Theory):
         self.theory = theory
         self.query: CauseQuery | None = None
         self.branches: dict[int, tuple[Branch, int, frozenset]] = {}
         self.stories: dict[frozenset, tuple[Theory, Theory]] = {}
+        self.fixed: dict[Theory, Theory] = {}
         self.verdicts: dict[frozenset, Verdict] = {}
+        self.counterfactuals: dict[int, tuple[Theory, frozenset, Probability]] = {}
 
 
 #: The running ``classify_causes`` call's ``_Classification``; unset
@@ -332,7 +341,8 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     if entry is not None and entry[0] is branch:
         # Sound because every branch of one classify_causes call starts
         # in the same context: the relevant laws, the cut state and the
-        # story-fixed theory are all fixed by the prefix set.
+        # story-fixed theory are all fixed by the prefix set, and the
+        # counterfactual reads only the story-fixed theory and that context.
         _, j, key = entry
         verdict = run.verdicts.get(key)
         if verdict is not None:
@@ -340,18 +350,22 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
         story = run.stories.get(key)
         if story is None:
             relevant = relevant_theory(theory, branch, query.effect)
-            story = run.stories[key] = (relevant, fix_story(relevant, branch))
+            fixed = fix_story(relevant, branch)
+            story = run.stories[key] = (relevant, run.fixed.setdefault(fixed, fixed))
         relevant, fixed = story
+        twisted = run.counterfactuals.get(id(fixed))
+        if twisted is None:
+            twisted = run.counterfactuals[id(fixed)] = _counterfactual(
+                theory, fixed, branch, query.cause, query.effect
+            )
     else:
         run = None  # a check of its own, shared with no classification
         check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
         _require_holds((query.cause, query.effect), branch.final_state)
         j = effect_index(branch, query.effect)
         relevant = relevant_theory(theory, branch, query.effect)
-        fixed = fix_story(relevant, branch)
-    counterfactual, context, prob = _counterfactual(
-        theory, fixed, branch, query.cause, query.effect
-    )
+        twisted = _counterfactual(theory, fix_story(relevant, branch), branch, query.cause, query.effect)
+    counterfactual, context, prob = twisted
     verdict = Verdict(prob == 0, j, relevant, counterfactual, context, prob)
     if run is not None:
         run.verdicts[key] = verdict
@@ -384,6 +398,7 @@ def classify_causes(
     certain cause when every branch agrees, a possible one when at least
     one does. Branches that share the set of events before the effect
     share one story-fixed theory during this call, and one verdict per
+    candidate; equal story-fixed theories share one counterfactual per
     candidate.
     """
     final_interp = frozenset(final_interp)
@@ -419,6 +434,7 @@ def classify_causes(
                 continue
             run.query = query = CauseQuery(cand, effect)
             run.verdicts = {}
+            run.counterfactuals = {}
             supporting = 0
             for b in branches:
                 if id(b) not in run.branches:

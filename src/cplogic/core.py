@@ -312,10 +312,12 @@ class Numbering:
     and head atoms as masks. ``pos_users[i]`` and ``neg_users[i]`` list,
     in ascending order and once each, the laws whose body uses atom i
     positively or negated; the lists are shared, so read them only.
-    Masks mean something only within the numbering that made them.
+    Masks mean something only within the numbering that made them, or
+    one with an equal ``key``.
     """
 
-    __slots__ = ("atoms", "index", "labels", "position", "pos", "neg", "head", "negated", "pos_users", "neg_users")
+    __slots__ = ("atoms", "index", "labels", "position", "pos", "neg", "head", "negated", "pos_users",
+                 "neg_users", "__dict__")
 
     def __init__(self, theory: "Theory"):
         index: dict = {}
@@ -369,6 +371,29 @@ class Numbering:
         self.negated = negated  # atoms that some body negates
         self.pos_users = pos_users
         self.neg_users = neg_users
+
+    @compute_once
+    def key(self) -> tuple | None:
+        """The numbered atoms and labels in bit order, and each law's head,
+        positive and negated body masks: two numberings with equal keys
+        give each mask the same meaning and the same ``overestimate``.
+        None when two laws share a label, as a law mask then does not
+        tell them apart."""
+        if len(self.position) != len(self.labels):
+            return None
+        return tuple(self.atoms), tuple(self.labels), tuple(self.head), tuple(self.pos), tuple(self.neg)
+
+    def same_key(self, other: "Numbering") -> bool:
+        """Do both numberings have the same ``key``, and not None? Once two
+        keys compare equal, both numberings hold one key object, so later
+        comparisons of the pair go by identity."""
+        key, theirs = self.key, other.key
+        if key is theirs:
+            return key is not None
+        if key is None or key != theirs:
+            return False
+        other.__dict__["key"] = key  # an equal value: compute_once's slot
+        return True
 
     def atom_mask(self, atoms: Iterable[Atom]) -> int:
         """Mask of the given atoms; atoms outside the numbering are left out."""

@@ -703,6 +703,9 @@ class TestVerdictMemo:
             for cand in default_candidates(theory, final, effect)
             for b in branches
         }
+        # A thrower that fired with no effect drops out of the story, so
+        # the 12 prefix sets fix only 3 theories: the hitter's law alone.
+        fixed = {fix_story(relevant_theory(theory, b, effect), b) for b in branches}
         calls = []
         real = causation.prob_formula
 
@@ -713,8 +716,10 @@ class TestVerdictMemo:
         monkeypatch.setattr(causation, "prob_formula", counting)
         out = classify_causes(theory, final, effect)
         assert {v.classification for v in out.values()} == {CauseClassification.POSSIBLE_ONLY}
-        assert len(branches) == 42 and len(keys) == 3 * 12
-        assert len(calls) == len(keys)
+        assert len(branches) == 42 and len(keys) == 3 * 12 and len(fixed) == 3
+        # One per candidate and distinct story-fixed theory, each a
+        # different question.
+        assert len(set(calls)) == len(calls) == 3 * len(fixed)
 
     def test_one_story_per_prefix_set_for_all_candidates(self, monkeypatch):
         theory, final = _thrown(3)
@@ -728,9 +733,46 @@ class TestVerdictMemo:
 
             monkeypatch.setattr(causation, name, counting)
         classify_causes(theory, final, lit("shatters"))
-        # 3 candidates, 42 branches, 12 prefix sets: the relevant and
-        # story-fixed theories do not read the cause.
-        assert calls == {"actual_cause": 3 * 42, "relevant_theory": 12, "fix_story": 12, "prob_formula": 3 * 12}
+        # 3 candidates, 42 branches, 12 prefix sets, 3 story-fixed
+        # theories: the relevant and story-fixed theories do not read
+        # the cause, and the counterfactual reads only the latter.
+        assert calls == {"actual_cause": 3 * 42, "relevant_theory": 12, "fix_story": 12, "prob_formula": 3 * 3}
+
+    def test_prefix_sets_fixing_different_theories_keep_their_own_verdicts(self, monkeypatch):
+        # r3 is impossible once b is true, so it is relevant where r2 fired
+        # before r1: the two prefix sets fix different theories, and
+        # preventing a zeroes e in the first one only.
+        theory = load_theory("exogenous a.\n@r1: e:1/2 <- a.\n@r2: b:1/2 <- a.\n@r3: e <- ~b.\n")
+        final, effect = interp("a b e"), lit("e")
+        branches = list(enumerate_branches(theory, interp("a"), target=final))
+        assert [[str(event) for event in b.events] for b in branches] == [
+            ["r1 -> e", "r2 -> b"], ["r2 -> b", "r1 -> e"]
+        ]
+        made = []
+        calls = []
+        real_check, real_prob = causation.actual_cause, causation.prob_formula
+
+        def recording(theory, branch, query):
+            made.append(real_check(theory, branch, query))
+            return made[-1]
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_prob(*args, **kwargs)
+
+        monkeypatch.setattr(causation, "actual_cause", recording)
+        monkeypatch.setattr(causation, "prob_formula", counting)
+        got = classify_causes(theory, final, effect)
+        assert len(calls) == 2 * 2  # candidates a and b, two story-fixed theories each
+        first, second = made[:2]  # candidate a, branch by branch
+        assert (first.is_cause, second.is_cause) == (True, False)
+        assert [law.label for law in second.relevant.laws] == ["r1", "r2", "r3"]
+        assert first.counterfactual != second.counterfactual
+        monkeypatch.undo()
+        fresh = []
+        assert got == _classify_per_branch(theory, final, effect, branches, fresh)
+        assert made == fresh
+        assert got[lit("a")] == PartialVerdict(CauseClassification.POSSIBLE_ONLY, 1, 2)
 
     def test_a_foreign_branch_query_or_theory_takes_the_checked_path(self, monkeypatch):
         theory, final = _thrown(2)

@@ -17,7 +17,10 @@ import pytest
 from cplogic import corpus, engine
 from cplogic.causation import fix_story
 from cplogic.cli import main
-from cplogic.core import FALSE, Atom, Conjunction, Disjunction, FormulaAtom, Negation, TRUE, Theory, eval_formula
+from cplogic.core import (
+    FALSE, Atom, CPLaw, Conjunction, Disjunction, FormulaAtom, HeadAlternative, Negation, Record, TRUE, Theory,
+    eval_formula,
+)
 from cplogic.engine import (
     NO_EFFECT,
     Branch,
@@ -716,6 +719,28 @@ class TestSharedTree:
         assert diamonds(200) != diamonds(199)  # the leaves differ, 200 pairs down
         assert (diamonds(1) == deep.root.edges[0]) is False  # another class
 
+    def test_repr_pickle_and_deepcopy_keep_the_text_the_sharing_and_equality(self, monkeypatch):
+        # Each went through Record along every edge, recursively, and
+        # raised RecursionError at 150 to 300 links.
+        deep = build_tree(_chain(1000, ":9/10"), interp("a0"))
+        text, ctx = _throwers(3)
+        shared = build_tree(load_theory(text), ctx)
+        trees = (deep, shared, build_tree(_chain(60, ":9/10"), interp("a0")))
+        for tree in trees:
+            distinct = len({id(node) for node in tree.nodes()})
+            for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+                assert clone == tree
+                assert len({id(node) for node in clone.nodes()}) == distinct
+                assert len(list(clone.nodes())) == len(list(tree.nodes()))
+        assert len({id(node) for node in shared.nodes()}) == 7  # 2k + 1
+        assert copy.deepcopy(shared.root).state.theory is not shared.theory
+        # Every state's text lists its atoms: 43 MB at 1000 links.
+        assert repr(deep).count("TreeEdge(") == 2000
+        texts = [repr(tree) for tree in trees[1:]]
+        # Record's own recursive text, where the recursion limit allows it.
+        monkeypatch.setattr(TreeNode, "__repr__", Record.__repr__)
+        assert [repr(tree) for tree in trees[1:]] == texts
+
 
 @pytest.fixture
 def steps(monkeypatch):
@@ -735,7 +760,8 @@ def steps(monkeypatch):
 
 class TestOneStepPerState:
     """build_tree reserves each child's key before stepping, so every
-    distinct state is stepped into once; the walkers never need the
+    distinct state is stepped into once, and enumerate_branches steps
+    each move out of a distinct state once; the walkers never need the
     checked fire."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -768,6 +794,41 @@ class TestOneStepPerState:
         assert (hit.outcome, miss.outcome) == (Atom("shatters"), NO_EFFECT)
         assert hit.child is miss.child
         assert len(steps) == 4
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_the_branch_walk_steps_each_move_of_a_distinct_state_once(self, steps, k):
+        import frozenset_engine as reference
+
+        text, ctx = _throwers(k)
+        theory = load_theory(text)
+        want = list(reference.enumerate_branches(theory, ctx))
+        # A step per edge of the full tree, one per distinct event prefix.
+        path_steps = len({b.events[:i] for b in want for i in range(1, len(b) + 1)})
+        target = ctx | interp("shatters")
+        for goal in (None, target):
+            steps.clear()
+            _assert_same_branches(enumerate_branches(theory, ctx, goal), [
+                b for b in want if goal is None or b.final_state.interp == goal
+            ])
+            # 2^k - 1 fired sets, each with or without shatters, and the
+            # root; a state with j throwers fired has 2(k - j) moves.
+            assert len(steps) == 2 * k * (2 ** k - 1) < path_steps
+        # The first branch costs one state's moves per level.
+        steps.clear()
+        next(enumerate_branches(theory, ctx, target))
+        assert len(steps) == k * (k + 1)
+
+    def test_the_branch_walk_steps_the_distinct_moves_on_random_theories(self, steps):
+        from randgen import random_cases
+
+        for theory, context in random_cases(300):
+            steps.clear()
+            branches = list(enumerate_branches(theory, context))
+            moves = {
+                (b.states[i].interp_bits, b.states[i].fired_bits, b.events[i])
+                for b in branches for i in range(len(b))
+            }
+            assert len(steps) == len(moves)
 
     def test_the_walkers_step_without_the_checked_fire(self, monkeypatch, suzy):
         def checked(*args):
@@ -910,6 +971,44 @@ class TestMaskStates:
             assert loaded[key] == written[key]
         assert written["atoms"][:8] == [f"e{i}" for i in range(8)]
         assert written["prob"] == "2/3"
+
+    def test_states_of_equally_numbered_theories_compare_by_their_masks(self, monkeypatch):
+        # Separately loaded, so the numberings are equal but distinct;
+        # comparing two 1000-link trees built every state's views and
+        # overestimate, quadratic in depth.
+        text = "exogenous a0.\n" + "".join(f"a{i}:1/2 <- a{i - 1}.\n" for i in range(1, 9))
+        states, twins = ([node.state for node in build_tree(load_theory(text), interp("a0")).nodes()]
+                         for _ in range(2))
+        assert states[0].theory.numbering is not twins[0].theory.numbering
+
+        def unread(*args):
+            raise AssertionError("read a view or an overestimate")
+
+        with monkeypatch.context() as patched:
+            for name in ("interp", "fired", "over"):
+                patched.setattr(engine.State, name, property(unread))
+            patched.setattr(engine, "overestimate", unread)
+            assert states == twins
+            assert states[1] != twins[2] and states != twins[::-1]
+        for state in states:
+            for twin in twins:
+                assert (state == twin) == (_state_views(state) == _state_views(twin))
+        # A stored overestimate is compared, not assumed.
+        root = states[0]
+        odd = engine.State(root.theory, root.interp_bits, root.fired_bits, root.interp_bits)
+        assert odd != twins[0] and odd.over != twins[0].over
+
+    def test_states_of_differently_numbered_theories_compare_by_their_views(self):
+        laws = ("@a: x <- e.\n", "@b: y <- e.\n")
+        mine, theirs = (load_theory("exogenous e.\n" + "".join(order)) for order in (laws, laws[::-1]))
+        assert mine.numbering.atoms != theirs.numbering.atoms
+        hit = [fire(t, initial_state(t, interp("e")), t.law("a"), Atom("x")) for t in (mine, theirs)]
+        assert hit[0] == hit[1] and hit[0].interp_bits != hit[1].interp_bits
+        assert hit[0] != fire(theirs, initial_state(theirs, interp("e")), theirs.law("b"), Atom("y"))
+        # Two unlabeled laws: a law mask does not tell them apart, but the views do.
+        same = Theory((CPLaw((HeadAlternative(Atom("x"), Fraction(1)),)),) * 2)
+        assert same.numbering.key is None
+        assert engine.State(same, 0, 1) == engine.State(same, 0, 2)
 
     def test_states_cross_equal_theory_objects_through_their_views(self, suzy):
         twin = load_theory(corpus.read_text("suzy_billy.cpl"))
