@@ -116,10 +116,10 @@ def cmd_tree(theory: Theory, args) -> int:
         sys.stdout.write(export_tree_dot(tree))
         return 0
     _warn_symbolic(theory)
-    for line in format_tree(tree):
+    interp_text = interp_formatter(tree.theory.numbering)
+    for line in format_tree(tree, interp_text):
         print(line)
     print("distribution over final states:")
-    interp_text = interp_formatter(tree.theory.numbering)
     rows = sorted((-mass, interp_text(bits)) for bits, mass in distribution_bits(tree).items())
     for mass, text in rows:
         print(f"  {text}: {_prob_text(-mass)}")

@@ -97,16 +97,18 @@ def _numeral_value(numeral: str) -> Fraction:
 class _Scanner:
     """Minimal cursor over one statement, tracking the source position.
 
-    ``names`` maps each atom name read so far to its atom; the
-    statements of one file share it, so a name is checked once per
-    parse.
+    ``names`` maps each atom name read so far to its atom, and
+    ``numerals`` each probability numeral read so far to its value; the
+    statements of one file share both, so a name is checked, and a
+    numeral converted, once per parse.
     """
 
-    def __init__(self, text: str, line: int = 1, names: dict | None = None):
+    def __init__(self, text: str, line: int = 1, names: dict | None = None, numerals: dict | None = None):
         self.text = text
         self.pos = 0
         self.line = line
         self.names = {} if names is None else names
+        self.numerals = {} if numerals is None else numerals
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.pos + 1)
@@ -174,12 +176,14 @@ class _Scanner:
         if not match:
             raise self.error("expected a probability (decimal, num/den, or *)")
         token = match.group()
-        try:
-            value = _numeral_value("".join(token.split()))
-        except ZeroDivisionError:
-            raise self.error("probability denominator is zero") from None
-        except ValueError:
-            raise self.error("probability numeral has too many digits") from None
+        value = self.numerals.get(token)
+        if value is None:
+            try:
+                value = self.numerals[token] = _numeral_value("".join(token.split()))
+            except ZeroDivisionError:
+                raise self.error("probability denominator is zero") from None
+            except ValueError:
+                raise self.error("probability numeral has too many digits") from None
         if value > 1:
             raise self.error(f"probability {token} exceeds 1")
         self.pos = match.end()
@@ -207,14 +211,16 @@ def _statements(text: str) -> Iterator[_Scanner]:
     Comments are stripped and blank lines skipped. Once the caller has
     parsed a statement and asks for the next one, anything left on the
     line raises "unexpected input after '.'". The scanners share one
-    name -> atom map, which lives as long as the parse.
+    name -> atom map and one numeral -> value map, which live as long as
+    the parse.
     """
     names: dict = {}
+    numerals: dict = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         content = raw.split("%", 1)[0]
         if not content.strip():
             continue
-        sc = _Scanner(content, line_no, names)
+        sc = _Scanner(content, line_no, names, numerals)
         yield sc
         if not sc.at_end():
             raise sc.error("unexpected input after '.'")
@@ -422,19 +428,31 @@ def interp_formatter(numbering: Numbering) -> Callable[[int], str]:
     """``format_interp`` for atom masks of one numbering.
 
     The renderers format every node from its state's ``interp_bits``,
-    building no view; the atoms are sorted by name once, not per node.
+    building no view. The atoms are sorted by name once, not per mask,
+    and each distinct mask is formatted once: the text is kept for the
+    life of the returned function, so one render keeps it only while it
+    runs. A mask's binary digits become 0/1 flag bytes in name order,
+    which pick its atoms' names without a Python call per atom.
     """
     atoms = numbering.atoms
     if not atoms:
         return lambda mask: "{}"
-    order = sorted(range(len(atoms)), key=atoms.__getitem__)
+    n = len(atoms)
+    order = sorted(range(n), key=atoms.__getitem__)
     names = [atoms[i].name for i in order]
-    in_name_order = operator.itemgetter(*order)
-    spec = f"0{len(atoms)}b"
+    # Atom i is digit n - 1 - i of the mask's n-digit binary form.
+    # One index would make itemgetter return a bare int, not a sequence.
+    in_name_order = operator.itemgetter(*[n - 1 - i for i in order]) if n > 1 else bytes
+    flags = bytes.maketrans(b"01", b"\0\1")
+    spec = f"0{n}b"
+    texts: dict[int, str] = {}
 
     def text(mask: int) -> str:
-        digits = format(mask, spec)[::-1]  # digit i is atom i
-        return "{" + ", ".join(compress(names, map("1".__eq__, in_name_order(digits)))) + "}"
+        shown = texts.get(mask)
+        if shown is None:
+            picked = in_name_order(format(mask, spec).encode().translate(flags))
+            shown = texts[mask] = "{" + ", ".join(compress(names, picked)) + "}"
+        return shown
 
     return text
 
@@ -462,10 +480,18 @@ def serialize_theory(theory: Theory) -> str:
 # Tree rendering and DOT export
 
 
-def format_tree(tree: ExecutionTree) -> Iterator[str]:
+def format_tree(tree: ExecutionTree, interp_text: Callable[[int], str] | None = None) -> Iterator[str]:
     """The tree's text lines, path by path, one at a time, so a caller
-    can print them as they come; an edge's line precedes its subtree."""
-    interp_text = interp_formatter(tree.theory.numbering)
+    can print them as they come; an edge's line precedes its subtree.
+
+    ``interp_text`` formats a node's ``interp_bits``; by default a new
+    ``interp_formatter`` of the tree's numbering, so each distinct
+    interpretation is formatted once per call. A caller that formats
+    more of the same tree, as ``cplogic tree`` does its distribution
+    rows, passes its own formatter to share that work.
+    """
+    if interp_text is None:
+        interp_text = interp_formatter(tree.theory.numbering)
     for depth, parent, edge, node in tree.walk():
         if parent is not None:
             yield f"{'  ' * (2 * depth - 1)}{parent.law.label} -> {edge.outcome} ({fraction_text(edge.prob)})"

@@ -12,6 +12,7 @@ from cplogic import corpus
 from cplogic.cli import _prob_text, main
 from cplogic.engine import build_tree, distribution
 from cplogic.textio import format_interp, format_tree, load_theory, parse_context
+from test_engine import _dot_reference, _render_reference
 
 
 @pytest.fixture
@@ -399,6 +400,24 @@ class TestTreeRows:
                 dist = distribution(build_tree(theory, context))
                 want = sorted((-mass, format_interp(interp)) for interp, mass in dist.items())
                 assert rows == "".join(f"  {text}: {_prob_text(-mass)}\n" for mass, text in want)
+
+    def test_lines_and_rows_of_a_deep_chain_match_the_references(self, tmp_path, capsys):
+        depth = 300
+        lines = ["exogenous a0."] + [f"a{i}:9/10 <- a{i - 1}." for i in range(1, depth + 1)]
+        path = tmp_path / "chain.cpl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        theory = load_theory(path.read_text(encoding="utf-8"))
+        context = parse_context("a0")
+        tree = build_tree(theory, context)
+        assert main(["tree", str(path), "--context", "a0"]) == 0
+        shown, rows = capsys.readouterr().out.split("distribution over final states:\n")
+        assert shown.splitlines() == _render_reference(tree)
+        dist = distribution(tree)
+        assert len(dist) == depth + 1
+        want = sorted((-mass, format_interp(interp)) for interp, mass in dist.items())
+        assert rows == "".join(f"  {text}: {_prob_text(-mass)}\n" for mass, text in want)
+        assert main(["tree", str(path), "--context", "a0", "--dot"]) == 0
+        assert capsys.readouterr().out == _dot_reference(tree)
 
 
 class TestLongValues:

@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, serialization round-trips and DOT export."""
 
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -355,11 +356,28 @@ class TestDotExport:
             export_tree_dot(forged, theory=theory)
 
     def test_mask_formatter_writes_what_format_interp_writes(self):
-        theory = load_theory("exogenous b, a10, a9.\nzz <- b.\nc_1:1/2; a:1/2 <- ~zz, a9.\n")
-        numbering = theory.numbering
-        text = interp_formatter(numbering)
-        atoms = numbering.atoms
-        for k in range(len(atoms) + 1):
-            for chosen in combinations(atoms, k):
+        # In the wide theory exogenous atoms are numbered first and a10
+        # sorts before a2, so name order is not bit order, and its masks
+        # pass 64 bits. One atom makes the formatter pick by one index.
+        wide = ["exogenous " + ", ".join(f"x{i}" for i in range(12, 0, -1)) + ".", "a0 <- x12."]
+        wide += [f"a{i}:1/2 <- a{i - 1}." for i in range(1, 70)]
+        rng = random.Random(19)
+        for source in (
+            "exogenous b, a10, a9.\nzz <- b.\nc_1:1/2; a:1/2 <- ~zz, a9.\n",
+            "a.\n",
+            "\n".join(wide) + "\n",
+        ):
+            numbering = load_theory(source).numbering
+            text = interp_formatter(numbering)
+            atoms = numbering.atoms
+            if len(atoms) <= 8:
+                subsets = [chosen for k in range(len(atoms) + 1) for chosen in combinations(atoms, k)]
+            else:
+                assert len(atoms) > 64 and sorted(atoms) != atoms
+                subsets = [(), tuple(atoms)] + [(atom,) for atom in atoms]
+                subsets += [tuple(a for a in atoms if a != atom) for atom in atoms]
+                subsets += [tuple(rng.sample(atoms, rng.randrange(len(atoms)))) for _ in range(200)]
+            # Every mask twice: the second time reads the formatter's memory.
+            for chosen in subsets + subsets:
                 assert text(numbering.atom_mask(chosen)) == format_interp(frozenset(chosen))
         assert interp_formatter(load_theory("").numbering)(0) == "{}"
