@@ -23,7 +23,8 @@ candidate's verdict once per prefix set. A law that fired with no
 visible effect drops out of the story-fixed theory, so many prefix sets
 fix equal theories (k of them for the k·2^(k−1) prefix sets of k thrown
 throwers), and each candidate's counterfactual is computed once per
-distinct story-fixed theory.
+distinct story-fixed theory. A check of its own, outside such a call,
+is the classification of its one branch: one path builds every verdict.
 """
 
 from __future__ import annotations
@@ -295,29 +296,32 @@ def relevant_theory(theory: Theory, branch: Branch, effect: Literal) -> Theory:
 # Verdicts
 
 class _Classification:
-    """What the ``actual_cause`` checks of one ``classify_causes`` call
-    share, for its ``theory`` and current ``query`` (both compared by
-    identity), whose preconditions that call has checked once.
+    """What the ``actual_cause`` checks of one classification share: its
+    ``theory`` and ``query`` (both compared by identity), whose
+    preconditions have been checked. ``classify_causes`` runs one for
+    all its branches, query by query; a check of its own is the
+    classification of its one branch, under the key ``None``.
 
-    ``branches`` maps ``id(branch)`` to ``(branch, j, key)``: the index
-    where the effect first holds and the set of events before it.
-    ``stories`` maps a key to its relevant and story-fixed theories,
-    which do not read the cause; the story-fixed one is interned in
-    ``fixed``, so keys with equal story-fixed theories share one
-    object. ``verdicts`` maps a key to the current query's verdict,
-    and ``counterfactuals`` maps the id of an interned story-fixed
-    theory to the current query's ``_counterfactual``.
+    ``branches`` maps ``id(branch)`` to ``(j, key)``: the index where the
+    effect first holds and the set of events before it (the call holds
+    its branches, so no other live object has their ids). ``stories``
+    maps a key to its relevant and story-fixed theories, which do not
+    read the cause; a story-fixed theory other than ``theory`` is
+    interned in ``fixed``, so keys with equal ones share one object.
+    ``verdicts`` maps a key to the query's verdict, and
+    ``counterfactuals`` the id of an interned story-fixed theory to the
+    query's ``_counterfactual``.
     """
 
     __slots__ = ("theory", "query", "branches", "stories", "fixed", "verdicts", "counterfactuals")
 
-    def __init__(self, theory: Theory):
+    def __init__(self, theory: Theory, query: CauseQuery | None = None):
         self.theory = theory
-        self.query: CauseQuery | None = None
-        self.branches: dict[int, tuple[Branch, int, frozenset]] = {}
-        self.stories: dict[frozenset, tuple[Theory, Theory]] = {}
+        self.query = query
+        self.branches: dict[int, tuple[int, frozenset]] = {}
+        self.stories: dict[frozenset | None, tuple[Theory, Theory]] = {}
         self.fixed: dict[Theory, Theory] = {}
-        self.verdicts: dict[frozenset, Verdict] = {}
+        self.verdicts: dict[frozenset | None, Verdict] = {}
         self.counterfactuals: dict[int, tuple[Theory, frozenset, Probability]] = {}
 
 
@@ -338,37 +342,37 @@ def actual_cause(theory: Theory, branch: Branch, query: CauseQuery) -> Verdict:
     entry = None
     if run is not None and run.query is query and run.theory is theory:
         entry = run.branches.get(id(branch))
-    if entry is not None and entry[0] is branch:
-        # Sound because every branch of one classify_causes call starts
-        # in the same context: the relevant laws, the cut state and the
-        # story-fixed theory are all fixed by the prefix set, and the
-        # counterfactual reads only the story-fixed theory and that context.
-        _, j, key = entry
-        verdict = run.verdicts.get(key)
-        if verdict is not None:
-            return verdict
-        story = run.stories.get(key)
-        if story is None:
-            relevant = relevant_theory(theory, branch, query.effect)
-            fixed = fix_story(relevant, branch)
-            story = run.stories[key] = (relevant, run.fixed.setdefault(fixed, fixed))
-        relevant, fixed = story
-        twisted = run.counterfactuals.get(id(fixed))
-        if twisted is None:
-            twisted = run.counterfactuals[id(fixed)] = _counterfactual(
-                theory, fixed, branch, query.cause, query.effect
-            )
-    else:
-        run = None  # a check of its own, shared with no classification
+    if entry is None:
+        # A check of its own: the classification of its one branch.
         check_known({query.cause.atom, query.effect.atom}, theory.vocabulary, "query")
         _require_holds((query.cause, query.effect), branch.final_state)
-        j = effect_index(branch, query.effect)
+        run = _Classification(theory, query)
+        entry = (effect_index(branch, query.effect), None)
+    # Sound because every branch of one classification starts in the
+    # same context: the relevant laws, the cut state and the story-fixed
+    # theory are all fixed by the prefix set, and the counterfactual
+    # reads only the story-fixed theory and that context.
+    j, key = entry
+    verdict = run.verdicts.get(key)
+    if verdict is not None:
+        return verdict
+    story = run.stories.get(key)
+    if story is None:
         relevant = relevant_theory(theory, branch, query.effect)
-        twisted = _counterfactual(theory, fix_story(relevant, branch), branch, query.cause, query.effect)
+        fixed = fix_story(relevant, branch)
+        # Interning pays only where keys may share a theory, and only the
+        # input theory itself equals the input theory.
+        if key is not None and fixed is not theory:
+            fixed = run.fixed.setdefault(fixed, fixed)
+        story = run.stories[key] = (relevant, fixed)
+    relevant, fixed = story
+    twisted = run.counterfactuals.get(id(fixed))
+    if twisted is None:
+        twisted = run.counterfactuals[id(fixed)] = _counterfactual(
+            theory, fixed, branch, query.cause, query.effect
+        )
     counterfactual, context, prob = twisted
-    verdict = Verdict(prob == 0, j, relevant, counterfactual, context, prob)
-    if run is not None:
-        run.verdicts[key] = verdict
+    verdict = run.verdicts[key] = Verdict(prob == 0, j, relevant, counterfactual, context, prob)
     return verdict
 
 
@@ -412,18 +416,18 @@ def classify_causes(
         )
     if candidates is None:
         candidates = default_candidates(theory, final_interp, effect)
-    else:
-        for lit in candidates:
-            if lit == effect:
-                raise SelfCauseQueryError(
-                    f"candidate {lit} is the effect itself"
-                )
+    elif effect in candidates:
+        raise SelfCauseQueryError(f"candidate {effect} is the effect itself")
     if context is None:
         context = final_interp & theory.exogenous
     branches = list(enumerate_branches(theory, context, target=final_interp))
 
     verdicts: dict[Literal, PartialVerdict] = {}
     run = _Classification(theory)
+    if any(cand.holds_in(final_interp) for cand in candidates):
+        for b in branches:
+            j = effect_index(b, effect)
+            run.branches[id(b)] = (j, frozenset(map(_event_key, b.events[:j])))
     token = _verdict_memo.set(run)
     try:
         for cand in candidates:
@@ -435,12 +439,7 @@ def classify_causes(
             run.query = query = CauseQuery(cand, effect)
             run.verdicts = {}
             run.counterfactuals = {}
-            supporting = 0
-            for b in branches:
-                if id(b) not in run.branches:
-                    j = effect_index(b, effect)
-                    run.branches[id(b)] = (b, j, frozenset(map(_event_key, b.events[:j])))
-                supporting += actual_cause(theory, b, query).is_cause
+            supporting = sum(actual_cause(theory, b, query).is_cause for b in branches)
             if branches and supporting == len(branches):
                 kind = CauseClassification.CERTAIN
             elif supporting:

@@ -72,6 +72,14 @@ class compute_once:
 setfield = object.__setattr__
 
 
+def field_repr(value) -> str:
+    """``repr(value)``, except that a frozenset lists its members sorted
+    by their ``repr``, so that equal values print equal text."""
+    if isinstance(value, frozenset) and value:
+        return f"frozenset({{{', '.join(sorted(map(repr, value)))}}})"
+    return repr(value)
+
+
 class Record:
     """Base of the immutable value types: fields by value, no writes.
 
@@ -81,7 +89,7 @@ class Record:
     ``__init__`` is the order of the slots, which pickling relies on.
     Two records are equal when they are of the same class and their
     fields are equal; the hash is that of the field values, and
-    ``repr`` reads ``Name(field=value, ...)``.
+    ``repr`` reads ``Name(field=value, ...)``, with ``field_repr``.
     """
 
     __slots__ = ()
@@ -106,7 +114,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={field_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -720,7 +728,11 @@ def negation_loop_check(theory: Theory) -> tuple[Atom, ...] | None:
     negative when the body literal is negated. Returns the atoms of a
     closed walk that uses at least two distinct negative edges (i.e. a
     strongly connected component containing two of them), or None.
-    Feedback through a single negation is left alone.
+    Feedback through a single negation is left alone. The components are
+    labelled in one pass, so the check is linear in the theory, apart
+    from sorting the negative edges; of the components that hold two
+    or more, the one whose first negative edge sorts first is reported,
+    through its first two.
     """
     succ: dict[Atom, set[Atom]] = {}
     neg_edges: set[tuple[Atom, Atom]] = set()
@@ -733,39 +745,60 @@ def negation_loop_check(theory: Theory) -> tuple[Atom, ...] | None:
     if len(neg_edges) < 2:
         return None
 
-    # Only the endpoints of negative edges are ever asked about.
-    reach: dict[Atom, frozenset[Atom]] = {
-        node: _reachable(succ, node) for edge in neg_edges for node in edge
-    }
+    # The negative edges inside each component, in sorted order. The
+    # components enter ``inside`` in the order of their first edge, so
+    # the first with two holds the first edge that has a partner.
+    component = _components(succ)
+    inside: dict[Atom, list[tuple[Atom, Atom]]] = {}
+    for u, v in sorted(neg_edges):
+        if component[u] == component[v]:
+            inside.setdefault(component[u], []).append((u, v))
+    pair = next((edges[:2] for edges in inside.values() if len(edges) > 1), None)
+    if pair is None:
+        return None
+    (u1, v1), (u2, v2) = pair
+    # Closed walk: u1 -~-> v1 ... u2 -~-> v2 ... back to u1.
+    first = _path(succ, v1, u2)
+    second = _path(succ, v2, u1)
+    walk = (u1, *first, *second)
+    return walk[:-1] if len(walk) > 1 and walk[-1] == walk[0] else walk
 
-    def same_scc(u: Atom, v: Atom) -> bool:
-        return v in reach[u] and u in reach[v]
 
-    edges = sorted(neg_edges)
-    for i, (u1, v1) in enumerate(edges):
-        if not same_scc(u1, v1):
+def _components(succ: dict) -> dict[Atom, Atom]:
+    """Label every atom of the graph with a root of its strongly
+    connected component: Tarjan's algorithm, with explicit stacks."""
+    index: dict[Atom, int] = {}
+    low: dict[Atom, int] = {}
+    label: dict[Atom, Atom] = {}
+    open_nodes: list[Atom] = []
+    for root in succ:
+        if root in index:
             continue
-        for u2, v2 in edges[i + 1:]:
-            if not (same_scc(u1, u2) and same_scc(u2, v2)):
-                continue
-            # Closed walk: u1 -~-> v1 ... u2 -~-> v2 ... back to u1.
-            first = _path(succ, v1, u2)
-            second = _path(succ, v2, u1)
-            walk = (u1, *first, *second)
-            return walk[:-1] if len(walk) > 1 and walk[-1] == walk[0] else walk
-    return None
-
-
-def _reachable(succ: dict, start: Atom) -> frozenset:
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in succ.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+        index[root] = low[root] = len(index)
+        open_nodes.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, todo = work[-1]
+            for nxt in todo:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    open_nodes.append(nxt)
+                    work.append((nxt, iter(succ.get(nxt, ()))))
+                    break
+                if nxt not in label:  # still open: on the current path's component
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = open_nodes.pop()
+                        label[member] = node
+                        if member == node:
+                            break
+    return label
 
 
 def _path(succ: dict, start: Atom, goal: Atom) -> tuple[Atom, ...]:

@@ -74,6 +74,7 @@ from .core import (
     check_known,
     compute_once,
     eval_formula,
+    field_repr,
     formula_atoms,
     setfield,
 )
@@ -158,7 +159,8 @@ class State:
         return hash((self.interp, self.fired, self.over))
 
     def __repr__(self):
-        return f"State(interp={self.interp!r}, fired={self.fired!r}, over={self.over!r})"
+        return (f"State(interp={field_repr(self.interp)}, fired={field_repr(self.fired)}, "
+                f"over={field_repr(self.over)})")
 
     def __reduce__(self):
         return State, (self.theory, self.interp_bits, self.fired_bits, self.over_bits)

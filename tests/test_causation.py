@@ -829,6 +829,14 @@ class TestVerdictMemo:
         query = CauseQuery(lit("throws_suzy"), lit("shatters"))
         calls = []
         real = causation.prob_formula
+        steps = dict.fromkeys(("relevant_theory", "fix_story"), 0)
+        for name in steps:
+
+            def counting(*args, _real=getattr(causation, name), _name=name):
+                steps[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(causation, name, counting)
 
         def flaky(*args, **kwargs):
             calls.append(args)
@@ -840,16 +848,43 @@ class TestVerdictMemo:
         with pytest.raises(RuntimeError):
             classify_causes(suzy, outcome, lit("shatters"))
         assert causation._verdict_memo.get() is None
+        steps.update(dict.fromkeys(steps, 0))
         first = actual_cause(suzy, suzy_branch, query)
+        # One relevance filter, one story fixing and one counterfactual.
+        assert steps == {"relevant_theory": 1, "fix_story": 1} and len(calls) == 2
         assert actual_cause(suzy, suzy_branch, query) == first
         assert len(calls) == 3  # each direct call computes afresh
+        assert steps == {"relevant_theory": 2, "fix_story": 2}
 
         classify_causes(suzy, outcome, lit("shatters"))
         assert causation._verdict_memo.get() is None
         before = len(calls)
+        steps.update(dict.fromkeys(steps, 0))
         actual_cause(suzy, suzy_branch, query)
         actual_cause(suzy, suzy_branch, query)
         assert len(calls) == before + 2
+        assert steps == {"relevant_theory": 2, "fix_story": 2}
+
+    @pytest.mark.parametrize("head", ["a{i}", "a{i}:9/10"], ids=["deterministic", "9/10"])
+    def test_a_direct_check_on_a_chain_hashes_no_theory(self, head, monkeypatch):
+        # A check of its own has one prefix set, so interning its
+        # story-fixed theory (on the deterministic chain, the input
+        # theory itself) would only hash every law of the chain.
+        links = "".join(f"{head.format(i=i)} <- a{i - 1}.\n" for i in range(1, 200))
+        theory = load_theory(f"exogenous a0.\n{links}")
+        (branch,) = enumerate_branches(theory, interp("a0"), target=theory.vocabulary)
+        hashed = []
+        real_hash = Theory.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return real_hash(self)
+
+        monkeypatch.setattr(Theory, "__hash__", counting)
+        for cause in ("a0", "a1", "a100"):
+            verdict = actual_cause(theory, branch, CauseQuery(lit(cause), lit("a199")))
+            assert verdict.is_cause and verdict.relevant is theory
+        assert hashed == []
 
     def test_threads_classifying_at_once_get_the_serial_result(self):
         # The same query and events decide different verdicts in these two

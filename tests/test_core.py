@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from cplogic import core
 from cplogic.core import (
     CONTRADICTORY_BODY,
     DOUBLE_NEGATION_LOOP,
@@ -331,22 +331,39 @@ class TestNegationLoopCheck:
         ))
         assert negation_loop_check(theory) is None
 
-    def test_reaches_only_from_negative_edge_endpoints(self, monkeypatch):
-        # A 20,000-law chain plus two negations: reaching from every
-        # atom would be quadratic; the check needs x, y, z and w only.
-        calls = []
-        reachable = core._reachable
-
-        def counting(succ, start):
-            calls.append(start)
-            assert len(calls) <= 4, "reached from an atom no negative edge touches"
-            return reachable(succ, start)
-
-        monkeypatch.setattr(core, "_reachable", counting)
+    def test_validation_memory_stays_linear_on_a_chain_and_a_ladder(self):
+        # A 20,000-law chain plus two negations, and a 4,000-rung negation
+        # ladder: reaching from every endpoint of a negative edge would
+        # hold a quadratic number of atoms on the ladder.
         links = "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 20_000))
-        theory = load_theory(f"exogenous a0.\n{links}x:1/2 <- ~y.\nz:1/2 <- ~w.\n")
-        assert len(theory.laws) == 20_001
-        assert sorted(calls) == [Atom(n) for n in "wxyz"]
+        chain = load_theory(f"exogenous a0.\n{links}x:1/2 <- ~y.\nz:1/2 <- ~w.\n")
+        rungs = "".join(f"b{k}:1/2 <- ~b{k - 1}.\n" for k in range(1, 4000))
+        ladder = load_theory(f"b0:1/2.\n{rungs}")
+        assert len(chain.laws) == 20_001 and len(ladder.laws) == 4000
+        tracemalloc.start()
+        try:
+            for theory in (chain, ladder):
+                assert validate_theory(theory) is theory
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
+
+    def test_matches_the_pairwise_reference_on_random_theories(self):
+        rng = random.Random(4865)
+        atoms = [Atom(f"p{i}") for i in range(7)]
+        loops = 0
+        for _ in range(5000):
+            laws = []
+            for k in range(rng.randint(1, 8)):
+                head = [alt(a.name, Fraction(1, 3)) for a in rng.sample(atoms, rng.randint(1, 2))]
+                body = [Literal(a, rng.random() < 0.4) for a in rng.sample(atoms, rng.randint(0, 3))]
+                laws.append(law(head, body, f"r{k}"))
+            theory = Theory(tuple(laws))
+            witness = negation_loop_check(theory)
+            assert witness == _negation_loop_reference(theory)
+            loops += witness is not None
+        assert 1000 < loops < 4000
 
     def test_loop_after_a_long_chain_keeps_its_witness(self):
         links = "".join(f"a{i} <- a{i - 1}.\n" for i in range(1, 2000))
@@ -362,6 +379,62 @@ class TestNegationLoopCheck:
             law([alt("a", Fraction(1, 2))]),
         )))
         assert negation_loop_check(theory) is None
+
+
+def _negation_loop_reference(theory):
+    """The pairwise double-negation check the one-pass check replaced:
+    reach from every endpoint of a negative edge, then scan the sorted
+    pairs of negative edges for two inside one component."""
+    succ = {}
+    neg_edges = set()
+    for rule in theory.laws:
+        for lit in rule.body:
+            for head in rule.head:
+                succ.setdefault(lit.atom, set()).add(head.atom)
+                if not lit.positive:
+                    neg_edges.add((lit.atom, head.atom))
+    if len(neg_edges) < 2:
+        return None
+
+    def reachable(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in succ.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    def path(start, goal):  # shortest, endpoints included; BFS in sorted order
+        parents = {start: None}
+        queue = [start]
+        for node in queue:
+            if node == goal:
+                out = [node]
+                while parents[out[-1]] is not None:
+                    out.append(parents[out[-1]])
+                return tuple(reversed(out))
+            for nxt in sorted(succ.get(node, ())):
+                if nxt not in parents:
+                    parents[nxt] = node
+                    queue.append(nxt)
+        raise AssertionError("no path inside a strongly connected component")
+
+    reach = {node: reachable(node) for edge in neg_edges for node in edge}
+
+    def same_scc(u, v):
+        return v in reach[u] and u in reach[v]
+
+    edges = sorted(neg_edges)
+    for i, (u1, v1) in enumerate(edges):
+        if not same_scc(u1, v1):
+            continue
+        for u2, v2 in edges[i + 1:]:
+            if same_scc(u1, u2) and same_scc(u2, v2):
+                walk = (u1, *path(v1, u2), *path(v2, u1))
+                return walk[:-1] if len(walk) > 1 and walk[-1] == walk[0] else walk
+    return None
 
 
 class TestEvalFormula:

@@ -139,6 +139,22 @@ def test_unhashable_field_makes_an_unhashable_record():
         hash(Branch([STATE], []))
 
 
+def test_equal_values_print_equal_text():
+    # A frozenset iterates in an order that depends on how it was built
+    # and on the hash seed; its members print sorted by their repr.
+    atoms = [Atom(f"e{i}") for i in range(64)]
+    members = f"frozenset({{{', '.join(sorted(map(repr, atoms)))}}})"
+    theory, reversed_twin = Theory((), frozenset(atoms)), Theory((), frozenset(atoms[::-1]))
+    state = initial_state(theory, atoms)
+    texts = {
+        theory: f"Theory(laws=(), exogenous={members})",
+        state: f"State(interp={members}, fired=frozenset(), over={members})",
+    }
+    for value in (theory, reversed_twin, state, initial_state(reversed_twin, atoms[::-1])):
+        for twin in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and repr(twin) == texts[value]
+
+
 class TestRoundTrips:
     @pytest.fixture
     def suzy(self):
