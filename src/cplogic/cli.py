@@ -2,7 +2,8 @@
 
 Subcommands: ``validate``, ``prob``, ``tree``, ``cause``, ``causes``.
 Exit codes: 0 success, 1 parse error, 2 semantic or validation error,
-3 causation-query precondition error.
+3 causation-query precondition error, or a query that ran out of memory
+or recursion depth (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -244,6 +245,10 @@ def main(argv=None) -> int:
         return 2
     except QueryError as err:
         print(f"query error: {err}", file=sys.stderr)
+        return 3
+    except (MemoryError, RecursionError) as err:
+        what = "out of memory" if isinstance(err, MemoryError) else "recursion too deep"
+        print(f"resource error: {what}", file=sys.stderr)
         return 3
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

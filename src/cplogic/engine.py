@@ -16,31 +16,33 @@ Every entry point that takes a state passes it through ``_adopt``,
 which converts a state of another theory object through those views.
 
 Successor states are incremental, and the overestimate is computed on
-demand. One stepping kernel, ``_step``, makes every successor: it
-keeps the parent's overestimate when the parent has one and the step
-removed no atom's only support; otherwise the child's stays unset, and
-the full fixpoint runs the first time something reads it. Only a
-negated body, the target cut of ``enumerate_branches`` and the
-causation queries read it: a law without negated body is applicable
-once its positive body is true. The public ``fire`` checks that the
-theory holds the law, that the law is applicable and that its outcome
-table knows the outcome, then calls the kernel; ``replay_story`` goes
-through it, since a story is user input. The tree builder and the branch
-walker call the kernel unchecked, as their moves come from their ready
-lists and the laws' outcome tables. They carry each state's applicable
-laws along and, after a step, recheck only the laws that the
-numbering's ``pos_users`` and ``neg_users`` tie to the new atom or to
-atoms that left the overestimate. ``build_tree`` goes level by level
-and keys each state by its ``(interp_bits, fired_bits)``, computed
-from its parent's masks, so each distinct state is stepped into once:
-2k+1 nodes and 2k steps on k thrown throwers. ``enumerate_branches``
-keys its states the same way and makes each distinct state's
-successors once per call, shared by every path through it: 2k(2^k − 1)
-steps on k thrown throwers, where a step per path took 632 at k=4.
-``overestimate``
-and ``applicable_laws`` compute from scratch, as the walkers do only
-for the root's ready list. The fixpoint ``overestimate`` works on masks
-only, in and out; a state's ``over`` is its one frozenset view.
+demand. One stepping kernel, ``_step``, makes every successor: it ORs
+the outcome's atom bit and the law's bit into its parent's masks. A
+state's overestimate is the fixpoint of its own masks, computed the
+first time something reads it and then stored. A successor never takes
+its parent's; only ``_adopt`` carries one over, from the same state of
+another theory object. Pickling or copying a state carries what it has
+stored, or nothing. Only a negated body, the target cut of
+``enumerate_branches`` and the causation queries read it: a law without
+negated body is applicable once its positive body is true. The public
+``fire`` checks that the theory holds the law, that the law is
+applicable and that its outcome table knows the outcome, then calls the
+kernel; ``replay_story`` goes through it, since a story is user input.
+The tree builder and the branch walker call the kernel unchecked, as
+their moves come from their ready lists and the laws' outcome tables.
+They carry each state's applicable laws along and, after a step, recheck
+only the laws that the numbering's ``pos_users`` and ``neg_users`` tie
+to the new atom or to atoms that left the overestimate. ``build_tree``
+goes level by level and keys each state by its ``(interp_bits,
+fired_bits)``, computed from its parent's masks, so each distinct state
+is stepped into once: 2k+1 nodes and 2k steps on k thrown throwers.
+``enumerate_branches`` keys its states the same way and makes each
+distinct state's successors once per call, shared by every path through
+it: 2k(2^k − 1) steps on k thrown throwers, where a step per path took
+632 at k=4. ``overestimate`` and ``applicable_laws`` compute from
+scratch, as the walkers do only for the root's ready list. The fixpoint
+``overestimate`` works on masks only, in and out; a state's ``over`` is
+its one frozenset view.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
 the full tree, path by path, in pre-order; ``nodes``,
@@ -112,11 +114,13 @@ class State:
     as masks over its theory's ``numbering``: ``interp_bits``,
     ``fired_bits`` and ``over_bits``, the last computed the first time
     something reads it. The frozensets are views, built on first read
-    and never by the engine itself. Equality, hashing, pickling and
-    ``repr`` go by the three views. Equality compares the masks instead
-    when both numberings have the same ``key``, as the views then agree
-    exactly when the masks do, and an overestimate that neither state
-    has stored yet would be the same fixpoint of equal masks.
+    and never by the engine itself. Equality, hashing and ``repr`` go
+    by the three views. Equality compares the masks instead when both
+    numberings have the same ``key``, as the views then agree exactly
+    when the masks do, and an overestimate that neither state has
+    stored yet would be the same fixpoint of equal masks. Pickling and
+    copying keep the masks, and the overestimate only if it is stored,
+    so they run no fixpoint.
     """
 
     __slots__ = ("theory", "interp_bits", "fired_bits", "_over", "__dict__")
@@ -163,7 +167,7 @@ class State:
                 f"over={field_repr(self.over)})")
 
     def __reduce__(self):
-        return State, (self.theory, self.interp_bits, self.fired_bits, self.over_bits)
+        return State, (self.theory, self.interp_bits, self.fired_bits, self._over)
 
 
 class Event(Record):
@@ -460,35 +464,16 @@ def _step(theory: Theory, state: State, i: int, outcome) -> State:
     """The successor of ``state``, a state of ``theory``, after law ``i``
     fired with ``outcome``, unchecked: the law must be applicable there
     and the outcome one of its table's. ``fire`` checks both; the
-    walkers step only along their ready lists and the laws' tables."""
-    numbering = theory.numbering
-    if outcome is NO_EFFECT:
-        new = 0
-    else:
-        atom = numbering.index[outcome]
-        new = 1 << atom & ~state.interp_bits
-    interp = state.interp_bits | new
-    # The step drops from the fixpoint's candidates the fired law and the
-    # unfired laws the new atom blocks. Only atoms whose support ran
-    # through a dropped law can leave the overestimate, so if every
-    # dropped law that could contribute (positive body in the parent's
-    # overestimate) has all its head atoms true, it stays as it is.
-    # Otherwise the child's overestimate waits until something reads it.
-    over = state._over
-    if over is not None and numbering.head[i] & ~interp:
-        over = None
-    if over is not None and new:
-        pos, neg, head = numbering.pos, numbering.neg, numbering.head
-        fired = state.fired_bits
-        for j in numbering.neg_users[atom]:
-            if (head[j] & ~interp and not fired >> j & 1
-                    and not pos[j] & ~over and not neg[j] & state.interp_bits):
-                over = None
-                break
-    return State(theory, interp, state.fired_bits | 1 << i, over)
+    walkers step only along their ready lists and the laws' tables.
+    ``Numbering.bit`` is 0 for NO_EFFECT, which realizes no atom."""
+    return State(theory, state.interp_bits | theory.numbering.bit(outcome), state.fired_bits | 1 << i)
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
+    """The laws applicable in ``state``, in theory order, from scratch:
+    the tests' reference for the ready lists the walkers carry.
+    ``bench/tracer.py`` counts its calls by this name, and
+    ``tests/test_bench_contract.py`` checks that the name is bound."""
     state = _adopt(theory, state)
     numbering = theory.numbering
     return [law for i, law in enumerate(theory.laws) if _applicable(numbering, state, i)]
@@ -516,7 +501,7 @@ def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcom
     woken: list = []
     if child.interp_bits != state.interp_bits:
         woken += numbering.pos_users[numbering.index[outcome]]
-    if numbering.negated and child.over_bits is not state.over_bits:
+    if numbering.negated and child.over_bits != state.over_bits:
         lost = state.over_bits & ~child.over_bits & numbering.negated
         for i in bit_positions(lost):
             woken += numbering.neg_users[i]

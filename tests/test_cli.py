@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cplogic import corpus
+from cplogic import cli, corpus
 from cplogic.cli import _prob_text, main
 from cplogic.engine import build_tree, distribution
 from cplogic.textio import format_interp, format_tree, load_theory, parse_context
@@ -247,6 +247,31 @@ class TestDeepChain:
             ])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1].split() == ["a0", "certain", "1/1"]
+
+
+class TestResourceErrors:
+    """A query that runs out of memory or stack exits 3 with one line on
+    stderr, not a traceback. A patched engine function raises the error;
+    nothing is exhausted for real."""
+
+    @pytest.mark.parametrize("argv, target", [
+        (["prob", "--query", "shatters"], "prob_formula"),
+        (["tree"], "build_tree"),
+    ], ids=["prob", "tree"])
+    @pytest.mark.parametrize("error, text", [
+        (MemoryError(), "out of memory"),
+        (RecursionError("maximum recursion depth exceeded"), "recursion too deep"),
+    ], ids=["memory", "recursion"])
+    def test_exits_3_with_one_line(self, files, capsys, monkeypatch, argv, target, error, text):
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, raising)
+        assert main([argv[0], files["suzy_billy.cpl"], *argv[1:], "--context", "throws_suzy"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"resource error: {text}\n"
+        assert "Traceback" not in captured.err
 
 
 class TestCause:

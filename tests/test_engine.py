@@ -404,8 +404,8 @@ class TestIncrementalStates:
         from randgen import random_cases
 
         for theory, context in random_cases(2000):
-            # Keyed by identity: equal states are still separate objects
-            # whose overestimates were carried down separately.
+            # Keyed by identity: equal states are still separate objects,
+            # and each computes its own overestimate.
             states = {id(node.state): node.state for node in build_tree(theory, context).nodes()}
             for branch in enumerate_branches(theory, context):
                 states.update((id(state), state) for state in branch.states)
@@ -1053,8 +1053,8 @@ class TestMaskStates:
 
 
 class TestOnDemandOverestimate:
-    """A state runs the full fixpoint only when something reads its
-    overestimate and it could not keep its parent's."""
+    """A state runs the full fixpoint of its own masks only when
+    something reads its overestimate, and only once."""
 
     DEPTH = 200
 
@@ -1084,12 +1084,45 @@ class TestOnDemandOverestimate:
         theory = load_theory("exogenous c.\na:1/2 <- c.\nb <- a.\n")
         root = initial_state(theory, interp("c"))
         assert root.over == interp("a b c") and fixpoints["overestimate"] == 1
-        kept = fire(theory, root, theory.law("r1"), Atom("a"))
-        assert kept.over_bits is root.over_bits
+        caused = fire(theory, root, theory.law("r1"), Atom("a"))
         lost = fire(theory, root, theory.law("r1"), NO_EFFECT)
-        assert fixpoints["overestimate"] == 1
+        assert fixpoints["overestimate"] == 1  # stepping reads none
+        for _ in range(2):
+            for child in (caused, lost):
+                assert child.over_bits == overestimate(theory, child.interp_bits, child.fired_bits)
+        assert caused.over == interp("a b c")
         assert lost.over == interp("c") and lost.over_bits == lost.interp_bits
-        assert fixpoints["overestimate"] == 2
+        assert fixpoints["overestimate"] == 3  # once per state object
+
+    def test_pickling_and_copying_run_no_fixpoint(self, fixpoints):
+        theory = _chain(1000, ":9/10")
+        tree = build_tree(theory, interp("a0"))
+        clones = [pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)]
+        assert fixpoints["overestimate"] == 0
+        for clone in clones:
+            assert clone == tree
+            states = [node.state for node in clone.nodes()]
+            assert len(states) == 2001
+            for state in states:
+                assert state.over_bits == overestimate(state.theory, state.interp_bits, state.fired_bits)
+
+    def test_a_stored_overestimate_survives_pickling_and_copying(self, fixpoints):
+        # A negation ladder: every state the builder makes reads its own.
+        rungs = "".join(f"b{k}:1/2 <- ~b{k - 1}.\n" for k in range(1, 7))
+        theory = load_theory(f"b0:1/2.\n{rungs}")
+        tree = build_tree(theory)
+        states = [node.state for node in tree.nodes()]
+        stored = [state.over_bits for state in states]
+        unread = fire(theory, tree.root.state, theory.law("r1"), Atom("b0"))
+        fixpoints.clear()
+        for clone in (pickle.loads(pickle.dumps((tree, unread))), copy.deepcopy((tree, unread))):
+            assert [node.state.over_bits for node in clone[0].nodes()] == stored
+            assert clone[0] == tree
+            assert fixpoints["overestimate"] == 0
+            assert clone[1].over == interp("b0 b2 b3 b4 b5 b6")
+            assert fixpoints["overestimate"] == 1  # the unread one, on first read
+            fixpoints.clear()
+        assert unread.over == interp("b0 b2 b3 b4 b5 b6")
 
     def test_build_tree_memory_on_a_deterministic_chain(self):
         theory = _chain(1000)
