@@ -33,16 +33,16 @@ their moves come from their ready lists and the laws' outcome tables.
 They carry each state's applicable laws along and, after a step, recheck
 only the laws that the numbering's ``pos_users`` and ``neg_users`` tie
 to the new atom or to atoms that left the overestimate. ``build_tree``
-goes level by level and keys each state by its ``(interp_bits,
-fired_bits)``, computed from its parent's masks, so each distinct state
-is stepped into once: 2k+1 nodes and 2k steps on k thrown throwers.
-``enumerate_branches`` keys its states the same way and makes each
-distinct state's successors once per call, shared by every path through
-it: 2k(2^k − 1) steps on k thrown throwers, where a step per path took
-632 at k=4. ``overestimate`` and ``applicable_laws`` compute from
-scratch, as the walkers do only for the root's ready list. The fixpoint
-``overestimate`` works on masks only, in and out; a state's ``over`` is
-its one frozenset view.
+makes one pass down, holding two levels, and keys each state by its
+``(interp_bits, fired_bits)``, computed from its parent's masks: each
+distinct state is stepped into and its node written once, 2k+1 nodes
+and 2k steps on k thrown throwers. ``enumerate_branches`` keys its
+states the same way and makes each distinct state's successors once
+per call, shared by every path through it: 2k(2^k − 1) steps on k
+thrown throwers, where a step per path took 632 at k=4. ``overestimate``
+and ``applicable_laws`` compute from scratch, as the walkers do only for
+the root's ready list. The fixpoint ``overestimate`` works on masks
+only, in and out; a state's ``over`` is its one frozenset view.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
 the full tree, path by path, in pre-order; ``nodes``,
@@ -114,13 +114,14 @@ class State:
     as masks over its theory's ``numbering``: ``interp_bits``,
     ``fired_bits`` and ``over_bits``, the last computed the first time
     something reads it. The frozensets are views, built on first read
-    and never by the engine itself. Equality, hashing and ``repr`` go
-    by the three views. Equality compares the masks instead when both
-    numberings have the same ``key``, as the views then agree exactly
-    when the masks do, and an overestimate that neither state has
-    stored yet would be the same fixpoint of equal masks. Pickling and
-    copying keep the masks, and the overestimate only if it is stored,
-    so they run no fixpoint.
+    and never by the engine itself. Equality and ``repr`` go by the
+    three views; the hash goes by ``interp`` and ``fired``, which equal
+    states share, so it runs no fixpoint. Equality compares the masks
+    instead when both numberings have the same ``key``, as the views
+    then agree exactly when the masks do, and an overestimate that
+    neither state has stored yet would be the same fixpoint of equal
+    masks. Pickling and copying keep the masks, and the overestimate
+    only if it is stored, so they run no fixpoint.
     """
 
     __slots__ = ("theory", "interp_bits", "fired_bits", "_over", "__dict__")
@@ -160,7 +161,7 @@ class State:
         return (self.interp, self.fired, self.over) == (other.interp, other.fired, other.over)
 
     def __hash__(self):
-        return hash((self.interp, self.fired, self.over))
+        return hash((self.interp, self.fired))
 
     def __repr__(self):
         return (f"State(interp={field_repr(self.interp)}, fired={field_repr(self.fired)}, "
@@ -540,58 +541,57 @@ def build_tree(
     A subtree depends only on its root's ``(interp, fired)``, so equal
     states share one ``TreeNode``: the result is a DAG whose per-path
     walk (``ExecutionTree.walk``) sees the full tree. Every step fires
-    one law, so equal states lie on the same level. The builder goes
-    down level by level, stepping into each distinct child key of the
-    next level once, then makes the internal nodes bottom-up, deepest
-    level first. It does not recurse, so depth is not bounded by
-    Python's recursion limit.
+    one law, so equal states lie on the same level. The builder makes
+    one pass down, level by level, and holds only the level it expands
+    and the next. The first edge to reach a child key makes the child's
+    node, empty, and steps into its state once; expanding the child's
+    level then writes the node's fields, each once. A law's outcome
+    table is read when the law first fires. The builder does not
+    recurse, so depth is not bounded by Python's recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
     bit = theory.numbering.bit
-    # Per law, (outcome, prob, bit) along its table; a child's key ORs
-    # the bit (0 for NO_EFFECT) into its parent's interp_bits.
-    moves = [[(outcome, prob, bit(outcome)) for outcome, prob in law.outcomes.pairs] for law in laws]
+    # Nodes and edges are made empty and filled through their slots'
+    # own setters, at about half the cost of the records' __init__.
+    new = object.__new__
+    set_state, set_law, set_edges = TreeNode.state.__set__, TreeNode.law.__set__, TreeNode.edges.__set__
+    set_outcome, set_prob, set_child = TreeEdge.outcome.__set__, TreeEdge.prob.__set__, TreeEdge.child.__set__
+    # Per law, (outcome, prob, bit) along its table, made when it first
+    # fires; a child's key ORs the bit (0 for NO_EFFECT) into interp_bits.
+    moves: list = [None] * len(laws)
     root, ready = _root(theory, context)
-    root_key = root.interp_bits, root.fired_bits
-    # levels[d]: (interp_bits, fired_bits) -> (state, ready) of each
-    # distinct state d steps down, until it becomes a leaf TreeNode or
-    # the (state, pos) of the law that fires there.
-    levels = []
-    level = {root_key: (root, ready)}
+    top = new(TreeNode)
+    # One level: (interp_bits, fired_bits) -> (node, state, ready).
+    level = {(root.interp_bits, root.fired_bits): (top, root, ready)}
     while level:
-        levels.append(level)
         below: dict = {}
-        for key, (state, ready) in level.items():
-            if not ready:
-                level[key] = TreeNode(state, None, ())
-                continue
-            # ready is in theory order, so file order takes its first law.
-            pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
-            interp = state.interp_bits
-            fired = state.fired_bits | 1 << pos
-            for outcome, _, b in moves[pos]:
-                if (interp | b, fired) not in below:
-                    child = _step(theory, state, pos, outcome)
-                    ready_below = _next_ready(theory, state, ready, pos, outcome, child)
-                    # Keyed by the child's own (equal) masks, sharing their ints.
-                    below[child.interp_bits, child.fired_bits] = child, ready_below
-            level[key] = state, pos
+        for node, state, ready in level.values():
+            law, edges = None, []
+            if ready:
+                # ready is in theory order, so file order takes its first law.
+                pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
+                law, rows = laws[pos], moves[pos]
+                if rows is None:
+                    rows = moves[pos] = [(outcome, prob, bit(outcome)) for outcome, prob in law.outcomes.pairs]
+                interp, fired = state.interp_bits, state.fired_bits | 1 << pos
+                for outcome, prob, b in rows:
+                    key = interp | b, fired
+                    entry = below.get(key)
+                    if entry is None:
+                        child = _step(theory, state, pos, outcome)
+                        ready_below = _next_ready(theory, state, ready, pos, outcome, child)
+                        entry = below[key] = new(TreeNode), child, ready_below
+                    edge = new(TreeEdge)
+                    set_outcome(edge, outcome)
+                    set_prob(edge, prob)
+                    set_child(edge, entry[0])
+                    edges.append(edge)
+            set_state(node, state)
+            set_law(node, law)
+            set_edges(node, tuple(edges))
         level = below
-    # Deepest level first, so that a node's children, one level down, are
-    # made before it; the deepest level holds leaves only.
-    while levels:
-        level = levels.pop()
-        for key, entry in level.items():
-            if isinstance(entry, tuple):
-                state, pos = entry
-                interp = state.interp_bits
-                fired = state.fired_bits | 1 << pos
-                level[key] = TreeNode(state, laws[pos], tuple([
-                    TreeEdge(outcome, prob, below[interp | b, fired]) for outcome, prob, b in moves[pos]
-                ]))
-        below = level
-    return ExecutionTree(theory, below[root_key])
+    return ExecutionTree(theory, top)
 
 
 def enumerate_branches(

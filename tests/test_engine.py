@@ -841,6 +841,66 @@ class TestOneStepPerState:
         assert prob_formula(suzy, context, FormulaAtom(Atom("shatters"))) == Fraction(49, 50)
 
 
+def _constructed(theory, ref_tree):
+    """The reference tree made again with the records' own constructors,
+    over the mask engine's states: what a builder calling ``TreeNode``
+    and ``TreeEdge`` gives."""
+    numbering = theory.numbering
+    made: dict = {}
+
+    def make(ref):
+        node = made.get(id(ref))
+        if node is None:
+            state = engine.State(theory, numbering.atom_mask(ref.state.interp), numbering.law_mask(ref.state.fired))
+            edges = tuple(TreeEdge(edge.outcome, edge.prob, make(edge.child)) for edge in ref.edges)
+            node = made[id(ref)] = TreeNode(state, ref.law, edges)
+        return node
+
+    return engine.ExecutionTree(theory, make(ref_tree.root))
+
+
+class TestOnePassBuilder:
+    """build_tree makes each node empty when an edge first reaches its
+    key and fills it when it expands that key's level, in one pass."""
+
+    def test_trees_match_the_frozenset_engine_under_three_policies(self):
+        import random
+
+        import frozenset_engine as reference
+        from randgen import random_cases
+
+        shuffle = random.Random(2204)
+        for theory, context in random_cases(2000):
+            labels = [law.label for law in theory.laws]
+            for policy in (None, labels[::-1], shuffle.sample(labels, len(labels))):
+                tree = build_tree(theory, context, policy=policy)
+                ref_tree = reference.build_tree(theory, context, policy=policy)
+                assert _tree_rows(tree) == _tree_rows(ref_tree)
+                distinct = {id(node): node for node in tree.nodes()}.values()
+                # No placeholder is left: every node and edge has all its fields.
+                for node in distinct:
+                    assert all(hasattr(node, name) for name in TreeNode._fields)
+                    assert all(hasattr(edge, name) for edge in node.edges for name in TreeEdge._fields)
+                keys = {(node.state.interp_bits, node.state.fired_bits) for node in distinct}
+                assert len(distinct) == len(keys)
+                expected = _constructed(theory, ref_tree)
+                clone = pickle.loads(pickle.dumps(tree))
+                assert tree == expected and clone == expected
+                assert repr(tree) == repr(clone) == repr(expected)
+
+    def test_a_law_that_never_fires_keeps_its_outcome_table_unread(self):
+        theory = _chain(2000, ":9/10")
+        assert not any("outcomes" in law.__dict__ for law in theory.laws)
+        # Without a0 no law is applicable: the root is the one leaf.
+        tree = build_tree(theory)
+        assert tree.root.is_leaf
+        assert not any("outcomes" in law.__dict__ for law in theory.laws)
+        # A law's table is read when it first fires: here the first law only.
+        partial = load_theory("exogenous a0, b0.\na1:9/10 <- a0.\nb1:9/10 <- b0.\n")
+        build_tree(partial, interp("a0"))
+        assert ["outcomes" in law.__dict__ for law in partial.laws] == [True, False]
+
+
 def _sorted_text(members):
     """A frozenset's text with its members sorted by their ``repr``."""
     return f"frozenset({{{', '.join(sorted(map(repr, members)))}}})" if members else "frozenset()"
@@ -918,7 +978,8 @@ class TestMaskStates:
             states.update(branch.states)
         for state in states:
             interp, fired, over = _state_views(state)
-            assert hash(state) == hash((interp, fired, over))
+            # Equal states have equal interp and fired views; over is not hashed.
+            assert hash(state) == hash((interp, fired))
             assert repr(state) == (f"State(interp={_sorted_text(interp)}, fired={_sorted_text(fired)}, "
                                    f"over={_sorted_text(over)})")
             for clone in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
@@ -1105,6 +1166,20 @@ class TestOnDemandOverestimate:
             assert len(states) == 2001
             for state in states:
                 assert state.over_bits == overestimate(state.theory, state.interp_bits, state.fired_bits)
+
+    def test_hashing_runs_no_fixpoint(self, fixpoints):
+        # Hashing by the overestimate's view too would run one fixpoint
+        # per state, quadratic in depth.
+        tree = build_tree(_chain(1000, ":9/10"), interp("a0"))
+        twin = build_tree(_chain(1000, ":9/10"), interp("a0"))
+        hashes = [hash(node) for node in tree.nodes()]
+        assert hashes == [hash(node) for node in twin.nodes()]
+        assert len(set(hashes)) == 2001
+        assert fixpoints["overestimate"] == 0
+        # Storing an overestimate leaves the hash as it was.
+        for node, other in zip(tree.nodes(), twin.nodes()):
+            node.state.over_bits
+            assert hash(node.state) == hash(other.state) and node.state == other.state
 
     def test_a_stored_overestimate_survives_pickling_and_copying(self, fixpoints):
         # A negation ladder: every state the builder makes reads its own.
