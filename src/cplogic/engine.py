@@ -29,19 +29,20 @@ negated body is applicable once its positive body is true. The public
 applicable and that its outcome table knows the outcome, then calls the
 kernel; ``replay_story`` goes through it, since a story is user input.
 The tree builder and the branch walker call the kernel unchecked, as
-their moves come from their ready lists and the laws' outcome tables.
-They carry each state's applicable laws along and, after a step, recheck
-only the laws that the numbering's ``pos_users`` and ``neg_users`` tie
-to the new atom or to atoms that left the overestimate. ``build_tree``
-makes one pass down, holding two levels, and keys each state by its
-``(interp_bits, fired_bits)``, computed from its parent's masks: each
-distinct state is stepped into and its node written once, 2k+1 nodes
-and 2k steps on k thrown throwers. ``enumerate_branches`` keys its
-states the same way and makes each distinct state's successors once
-per call, shared by every path through it: 2k(2^k − 1) steps on k
+their moves come from their ready masks and the laws' outcome tables.
+They carry each state's applicable laws as an ``int`` law mask and,
+after a step, recheck only the laws that the numbering's ``pos_users``
+and ``neg_users`` tie to the new atom or to atoms that left the
+overestimate. ``build_tree`` makes one pass down, holding two levels,
+and keys each state by one ``int``, its ``fired_bits`` above its
+``interp_bits``, computed from its parent's masks: each distinct state
+is stepped into and its node written once, 2k+1 nodes and 2k steps on
+k thrown throwers. ``enumerate_branches`` keys its states by their two
+masks and makes each distinct state's successors once per call,
+shared by every path through it: 2k(2^k − 1) steps on k
 thrown throwers, where a step per path took 632 at k=4. ``overestimate``
 and ``applicable_laws`` compute from scratch, as the walkers do only for
-the root's ready list. The fixpoint ``overestimate`` works on masks
+the root's ready mask. The fixpoint ``overestimate`` works on masks
 only, in and out; a state's ``over`` is its one frozenset view.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
@@ -465,14 +466,14 @@ def _step(theory: Theory, state: State, i: int, outcome) -> State:
     """The successor of ``state``, a state of ``theory``, after law ``i``
     fired with ``outcome``, unchecked: the law must be applicable there
     and the outcome one of its table's. ``fire`` checks both; the
-    walkers step only along their ready lists and the laws' tables.
+    walkers step only along their ready masks and the laws' tables.
     ``Numbering.bit`` is 0 for NO_EFFECT, which realizes no atom."""
     return State(theory, state.interp_bits | theory.numbering.bit(outcome), state.fired_bits | 1 << i)
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
     """The laws applicable in ``state``, in theory order, from scratch:
-    the tests' reference for the ready lists the walkers carry.
+    the tests' reference for the ready masks the walkers carry.
     ``bench/tracer.py`` counts its calls by this name, and
     ``tests/test_bench_contract.py`` checks that the name is bound."""
     state = _adopt(theory, state)
@@ -480,25 +481,28 @@ def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
     return [law for i, law in enumerate(theory.laws) if _applicable(numbering, state, i)]
 
 
-def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, list[int]]:
-    """The initial state and the positions of its applicable laws."""
-    root = initial_state(theory, context)
-    numbering = theory.numbering
-    return root, [i for i in range(len(theory.laws)) if _applicable(numbering, root, i)]
+def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, int]:
+    """The initial state and its ready mask: bit i set when law i is applicable."""
+    root, ready = initial_state(theory, context), 0
+    for i in range(len(theory.laws)):
+        if _applicable(theory.numbering, root, i):
+            ready |= 1 << i
+    return root, ready
 
 
-def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcome, child: State) -> list[int]:
-    """Positions of the laws applicable in ``child``, in theory order.
+def _next_ready(theory: Theory, state: State, ready: int, pos: int, outcome, child: State) -> int:
+    """The ready mask of ``child``: bit i set when law i is applicable.
 
     ``child`` is ``state`` after law ``pos`` fired with ``outcome``, and
-    ``ready`` lists the laws applicable in ``state``. Applicability is
-    monotone along a branch until the law fires, so the child keeps
-    every other law of ``ready``. A law can only become applicable
-    when a positive body atom comes true or a negated one leaves the
-    overestimate, so those laws alone are checked. Only a theory with
-    negated bodies reads the overestimates here.
+    ``ready`` is the mask of the laws applicable in ``state``.
+    Applicability is monotone along a branch until the law fires, so the
+    child keeps every other law of ``ready``. A law can only become
+    applicable when a positive body atom comes true or a negated one
+    leaves the overestimate, so those laws alone are checked. Only a
+    theory with negated bodies reads the overestimates here.
     """
     numbering = theory.numbering
+    rest = ready & ~(1 << pos)
     woken: list = []
     if child.interp_bits != state.interp_bits:
         woken += numbering.pos_users[numbering.index[outcome]]
@@ -506,12 +510,10 @@ def _next_ready(theory: Theory, state: State, ready: list[int], pos: int, outcom
         lost = state.over_bits & ~child.over_bits & numbering.negated
         for i in bit_positions(lost):
             woken += numbering.neg_users[i]
-    rest = ready.copy()
-    rest.remove(pos)
-    if not woken:
-        return rest
-    new = [i for i in set(woken) if _applicable(numbering, child, i)]
-    return sorted(rest + new) if new else rest
+    for i in woken:
+        if _applicable(numbering, child, i):
+            rest |= 1 << i
+    return rest
 
 
 def _policy_rank(theory: Theory, policy: Sequence[str] | None) -> list[int] | None:
@@ -543,11 +545,13 @@ def build_tree(
     walk (``ExecutionTree.walk``) sees the full tree. Every step fires
     one law, so equal states lie on the same level. The builder makes
     one pass down, level by level, and holds only the level it expands
-    and the next. The first edge to reach a child key makes the child's
-    node, empty, and steps into its state once; expanding the child's
-    level then writes the node's fields, each once. A law's outcome
-    table is read when the law first fires. The builder does not
-    recurse, so depth is not bounded by Python's recursion limit.
+    and the next. The first edge to reach a child key steps into the
+    child's state once and makes its node, holding that state alone;
+    expanding the child's level then writes its law and edges. A level
+    keys each state by one ``int``, its ``fired_bits`` shifted above its
+    ``interp_bits``, and carries its applicable laws as an ``int`` mask.
+    A law's outcome table is read when the law first fires. The builder
+    does not recurse, so depth is not bounded by the recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
@@ -560,37 +564,43 @@ def build_tree(
     # Per law, (outcome, prob, bit) along its table, made when it first
     # fires; a child's key ORs the bit (0 for NO_EFFECT) into interp_bits.
     moves: list = [None] * len(laws)
+    shift = len(theory.numbering.atoms)
     root, ready = _root(theory, context)
     top = new(TreeNode)
-    # One level: (interp_bits, fired_bits) -> (node, state, ready).
-    level = {(root.interp_bits, root.fired_bits): (top, root, ready)}
+    set_state(top, root)
+    # One level: fired_bits << shift | interp_bits -> the state's node,
+    # and in readies, on the same key, its ready mask.
+    key = root.fired_bits << shift | root.interp_bits
+    level, readies = {key: top}, {key: ready}
     while level:
-        below: dict = {}
-        for node, state, ready in level.values():
+        below, below_readies = {}, {}
+        for key, node in level.items():
+            ready, state = readies[key], node.state
             law, edges = None, []
             if ready:
-                # ready is in theory order, so file order takes its first law.
-                pos = ready[0] if rank is None else min(ready, key=rank.__getitem__)
+                # File order fires the lowest set bit.
+                pos = ((ready & -ready).bit_length() - 1 if rank is None
+                       else min(bit_positions(ready), key=rank.__getitem__))
                 law, rows = laws[pos], moves[pos]
                 if rows is None:
                     rows = moves[pos] = [(outcome, prob, bit(outcome)) for outcome, prob in law.outcomes.pairs]
-                interp, fired = state.interp_bits, state.fired_bits | 1 << pos
+                base = (state.fired_bits | 1 << pos) << shift | state.interp_bits
                 for outcome, prob, b in rows:
-                    key = interp | b, fired
-                    entry = below.get(key)
-                    if entry is None:
-                        child = _step(theory, state, pos, outcome)
-                        ready_below = _next_ready(theory, state, ready, pos, outcome, child)
-                        entry = below[key] = new(TreeNode), child, ready_below
+                    key = base | b
+                    child = below.get(key)
+                    if child is None:
+                        step = _step(theory, state, pos, outcome)
+                        child = below[key] = new(TreeNode)
+                        set_state(child, step)
+                        below_readies[key] = _next_ready(theory, state, ready, pos, outcome, step)
                     edge = new(TreeEdge)
                     set_outcome(edge, outcome)
                     set_prob(edge, prob)
-                    set_child(edge, entry[0])
+                    set_child(edge, child)
                     edges.append(edge)
-            set_state(node, state)
             set_law(node, law)
             set_edges(node, tuple(edges))
-        level = below
+        level, readies = below, below_readies
     return ExecutionTree(theory, top)
 
 
@@ -621,9 +631,9 @@ def enumerate_branches(
     law_moves = [[(outcome, Event(law.label, outcome)) for outcome, _ in law.outcomes.pairs]
                  for law in theory.laws]
 
-    def expand(state: State, ready: list[int]) -> tuple[bool, list]:
+    def expand(state: State, ready: int) -> tuple[bool, list]:
         """Whether a branch ends at ``state``, and its successors: the
-        ``(child, child's ready list, event)`` of each move, in walk
+        ``(child, child's ready mask, event)`` of each move, in walk
         order; none where the walk prunes or a leaf is reached."""
         interp = state.interp_bits
         # Prune on an atom outside the target, or on a missing target
@@ -634,7 +644,7 @@ def enumerate_branches(
         if not ready:
             return target is None or interp == target, []
         successors = []
-        for pos in ready:
+        for pos in bit_positions(ready):
             for outcome, event in law_moves[pos]:
                 child = _step(theory, state, pos, outcome)
                 successors.append((child, _next_ready(theory, state, ready, pos, outcome, child), event))
@@ -733,10 +743,10 @@ def _probability_shares(node: TreeNode, mass: Fraction) -> list[Fraction]:
 
 
 def _weight_shares(node: TreeNode, mass: int) -> list[int]:
-    # Exact: mass carries the scale of every law not fired above node.
+    # Exact: mass carries the scale of every law not fired above node, its own included.
     table = node.law.outcomes
-    scale = table.scale
-    return [mass * weight // scale for weight in table.weights]
+    part = mass // table.scale
+    return [part * weight for weight in table.weights]
 
 
 def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:

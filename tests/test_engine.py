@@ -19,7 +19,7 @@ from cplogic.causation import fix_story
 from cplogic.cli import main
 from cplogic.core import (
     FALSE, Atom, CPLaw, Conjunction, Disjunction, FormulaAtom, HeadAlternative, Negation, Record, TRUE, Theory,
-    eval_formula,
+    bit_positions, eval_formula,
 )
 from cplogic.engine import (
     NO_EFFECT,
@@ -376,22 +376,29 @@ class TestBranchWalker:
 
 @pytest.fixture
 def carried(monkeypatch):
-    """Every (theory, state, applicable law positions) the walkers carry."""
+    """Every (theory, state, ready mask) the walkers carry: the root's
+    from ``_root`` and every child's from ``_next_ready``."""
     seen = []
-    step = engine._next_ready
+    root, step = engine._root, engine._next_ready
+
+    def recording_root(theory, context):
+        state, ready = root(theory, context)
+        seen.append((theory, state, ready))
+        return state, ready
 
     def recording(theory, state, ready, pos, outcome, child):
         result = step(theory, state, ready, pos, outcome, child)
         seen.append((theory, child, result))
         return result
 
+    monkeypatch.setattr(engine, "_root", recording_root)
     monkeypatch.setattr(engine, "_next_ready", recording)
     return seen
 
 
 def _assert_carried_lists_match(seen):
     for theory, state, ready in seen:
-        assert [theory.laws[i].label for i in ready] == [
+        assert [theory.laws[i].label for i in bit_positions(ready)] == [
             law.label for law in applicable_laws(theory, state)
         ]
 
@@ -401,14 +408,28 @@ class TestIncrementalStates:
     from-scratch overestimate and applicable_laws are the reference."""
 
     def test_every_state_matches_the_reference_on_random_theories(self, carried):
+        import random
+
         from randgen import random_cases
 
+        shuffle = random.Random(2304)
         for theory, context in random_cases(2000):
             # Keyed by identity: equal states are still separate objects,
             # and each computes its own overestimate.
-            states = {id(node.state): node.state for node in build_tree(theory, context).nodes()}
-            for branch in enumerate_branches(theory, context):
-                states.update((id(state), state) for state in branch.states)
+            states: dict = {}
+            labels = [law.label for law in theory.laws]
+            for policy in (None, labels[::-1], shuffle.sample(labels, len(labels))):
+                carried.clear()
+                tree = build_tree(theory, context, policy=policy)
+                built = {id(node.state): node.state for node in tree.nodes()}
+                # One ready mask per distinct node: the root's and each child's.
+                assert len(carried) == len(built)
+                _assert_carried_lists_match(carried)
+                states.update(built)
+            carried.clear()
+            walked = {id(state): state for branch in enumerate_branches(theory, context) for state in branch.states}
+            assert walked.keys() <= {id(state) for _, state, _ in carried}
+            states.update(walked)
             for state in states.values():
                 assert state.over_bits == overestimate(theory, state.interp_bits, state.fired_bits)
             _assert_carried_lists_match(carried)
@@ -899,6 +920,55 @@ class TestOnePassBuilder:
         partial = load_theory("exogenous a0, b0.\na1:9/10 <- a0.\nb1:9/10 <- b0.\n")
         build_tree(partial, interp("a0"))
         assert ["outcomes" in law.__dict__ for law in partial.laws] == [True, False]
+
+
+def _throwers_and_coins(thrown, idle, coins, seed):
+    """``thrown + idle`` throwers ``shatters:1/2 <- tI.``, the first
+    ``thrown`` in the context, and ``coins`` coins ``cI:1/2.``, in a
+    seeded law order: the shape of the benchmark's prob-wide theories."""
+    import random
+
+    throwers = [f"t{i}" for i in range(thrown + idle)]
+    laws = [f"shatters:1/2 <- {t}.\n" for t in throwers] + [f"c{i}:1/2.\n" for i in range(coins)]
+    random.Random(seed).shuffle(laws)
+    return load_theory(f"exogenous {', '.join(throwers)}.\n" + "".join(laws)), interp(" ".join(throwers[:thrown]))
+
+
+class TestBenchWidths:
+    """The mask walkers at the benchmark's widths: ``randgen`` draws at
+    most 5 laws over 6 atoms, too few to show a wrong shift or a key
+    collision between the fired and the interp bits of a level key."""
+
+    @pytest.mark.parametrize("thrown, idle, coins", [(3, 0, 6), (4, 1, 6), (5, 2, 7), (4, 2, 8)])
+    def test_thrower_and_coin_trees_match_the_frozenset_engine(self, thrown, idle, coins):
+        import frozenset_engine as reference
+
+        theory, context = _throwers_and_coins(thrown, idle, coins, seed=thrown * 100 + idle * 10 + coins)
+        assert 9 <= len(theory.laws) <= 14
+        for policy in (None, [law.label for law in reversed(theory.laws)]):
+            tree = build_tree(theory, context, policy=policy)
+            assert _tree_rows(tree) == _tree_rows(reference.build_tree(theory, context, policy=policy))
+            distinct = {id(node): node for node in tree.nodes()}.values()
+            keys = {(node.state.interp_bits, node.state.fired_bits) for node in distinct}
+            assert len(distinct) == len(keys)
+        shatters = FormulaAtom(Atom("shatters"))
+        assert prob_formula(theory, context, shatters) == 1 - Fraction(1, 2**thrown)
+        coin = FormulaAtom(Atom(f"c{coins - 1}"))
+        assert prob_formula(theory, context, Conjunction((shatters, coin))) == (1 - Fraction(1, 2**thrown)) / 2
+
+    def test_every_rung_of_a_negation_ladder_is_exact(self):
+        depth = 12
+        rungs = "".join(f"b{k}:1/2 <- ~b{k - 1}.\n" for k in range(1, depth + 1))
+        theory = load_theory(f"b0:1/2.\n{rungs}")
+        want = Fraction(1, 2)
+        for k in range(depth + 1):
+            assert prob_formula(theory, frozenset(), FormulaAtom(Atom(f"b{k}"))) == want
+            want = (1 - want) / 2
+
+    def test_the_last_link_of_a_2000_law_chain_is_exact(self):
+        theory = _chain(2000, ":9/10")
+        value = prob_formula(theory, interp("a0"), FormulaAtom(Atom("a2000")))
+        assert type(value) is Fraction and value == Fraction(9, 10) ** 2000
 
 
 def _sorted_text(members):
