@@ -46,10 +46,11 @@ the root's ready mask. The fixpoint ``overestimate`` works on masks
 only, in and out; a state's ``over`` is its one frozenset view.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
-the full tree, path by path, in pre-order; ``nodes``,
-``leaves_with_mass`` and both renderings in ``textio`` read it. ``_fold``
-sums the leaf masses per final state, level by level, visiting each
-shared tree node once, with two kinds of mass. ``distribution_bits``,
+the full tree, path by path, in pre-order, through each node's
+``edges`` view; ``nodes``, ``leaves_with_mass`` and both renderings in
+``textio`` read it. ``_fold`` sums the leaf masses per final state,
+level by level, visiting each shared tree node once, with two kinds of
+mass, and reads only the nodes' children and laws. ``distribution_bits``,
 which ``distribution`` and ``cplogic tree`` read, passes exact
 ``Fraction`` masses. ``prob_formula`` passes integers over the product
 of every law's scale (the lcm of its outcome denominators, in the law's
@@ -212,14 +213,24 @@ class TreeEdge(Record):
 
 
 class TreeNode(Record):
-    """An execution-tree node; internal nodes record the law that fired."""
+    """An execution-tree node; internal nodes record the law that fired,
+    and ``children[k]`` is reached by row k of its ``outcomes.pairs``."""
 
-    __slots__ = ("state", "law", "edges")
+    __slots__ = ("state", "law", "children", "__dict__")
 
-    def __init__(self, state: State, law: CPLaw | None, edges: tuple[TreeEdge, ...]):
+    def __init__(self, state: State, law: CPLaw | None, children: tuple[TreeNode, ...]):
         setfield(self, "state", state)
         setfield(self, "law", law)
-        setfield(self, "edges", edges)
+        setfield(self, "children", children)
+
+    @compute_once
+    def edges(self) -> tuple[TreeEdge, ...]:
+        """One ``TreeEdge(outcome, prob, child)`` per row of the law's
+        outcome table, the one record of the node's branches; ValueError
+        when the children do not match it."""
+        pairs = self.law.outcomes.pairs if self.law is not None else ()
+        return tuple([TreeEdge(outcome, prob, child)
+                      for (outcome, prob), child in zip(pairs, self.children, strict=True)])
 
     def __eq__(self, other):
         # Field by field like any record, but over an explicit stack of
@@ -236,17 +247,14 @@ class TreeNode(Record):
                 continue
             seen.add(pair)
             if (a.__class__ is not b.__class__ or a.state != b.state or a.law != b.law
-                    or len(a.edges) != len(b.edges)):
+                    or len(a.children) != len(b.children)):
                 return False
-            for x, y in zip(a.edges, b.edges):
-                if x.outcome != y.outcome or x.prob != y.prob:
-                    return False
-                stack.append((x.child, y.child))
+            stack += zip(a.children, b.children)
         return True
 
     def __hash__(self):
-        # Equal nodes have equal states and laws. Hashing the edges too
-        # would walk every path below the node, recursively.
+        # Equal nodes have equal states and laws. Hashing the children
+        # too would walk every path below the node, recursively.
         return hash((self.state, self.law))
 
     def __repr__(self):
@@ -259,18 +267,17 @@ class TreeNode(Record):
             if isinstance(item, str):
                 parts.append(item)
                 continue
-            todo = [f"TreeNode(state={item.state!r}, law={item.law!r}, edges=("]
-            for k, edge in enumerate(item.edges):
-                todo += [", " if k else "", f"TreeEdge(outcome={edge.outcome!r}, prob={edge.prob!r}, child=",
-                         edge.child, ")"]
-            todo.append(",))" if len(item.edges) == 1 else "))")
+            todo = [f"TreeNode(state={item.state!r}, law={item.law!r}, children=("]
+            for k, child in enumerate(item.children):
+                todo += [", " if k else "", child]
+            todo.append(",))" if len(item.children) == 1 else "))")
             stack += reversed(todo)
         return "".join(parts)
 
     def __reduce__(self):
         # The DAG below the node as a list, children before parents and
-        # each node once, with each edge's child as an index into it:
-        # pickling and copying it recurse no deeper than one entry.
+        # each node once, with each child as an index into it: pickling
+        # and copying it recurse no deeper than one entry.
         index: dict = {}
         flat: list = []
         stack = [self]
@@ -279,29 +286,25 @@ class TreeNode(Record):
             if id(node) in index:
                 stack.pop()
                 continue
-            todo = [edge.child for edge in node.edges if id(edge.child) not in index]
+            todo = [child for child in node.children if id(child) not in index]
             if todo:
                 stack += todo
                 continue
             stack.pop()
             index[id(node)] = len(flat)
-            flat.append((node.state, node.law, tuple([
-                (edge.outcome, edge.prob, index[id(edge.child)]) for edge in node.edges
-            ])))
+            flat.append((node.state, node.law, tuple([index[id(child)] for child in node.children])))
         return _rebuild_node, (flat,)
 
     @property
     def is_leaf(self) -> bool:
-        return not self.edges
+        return not self.children
 
 
 def _rebuild_node(flat: list) -> TreeNode:
     """The last node of ``TreeNode.__reduce__``'s list, in one pass."""
     nodes: list = []
-    for state, law, edges in flat:
-        nodes.append(TreeNode(state, law, tuple([
-            TreeEdge(outcome, prob, nodes[i]) for outcome, prob, i in edges
-        ])))
+    for state, law, children in flat:
+        nodes.append(TreeNode(state, law, tuple([nodes[i] for i in children])))
     return nodes[-1]
 
 
@@ -321,8 +324,9 @@ class ExecutionTree(Record):
             item = stack.pop()
             yield item
             depth, _, _, node = item
-            for edge in reversed(node.edges):
-                stack.append((depth + 1, node, edge, edge.child))
+            if node.children:  # a leaf needs no view, nor a __dict__ to keep one
+                for edge in reversed(node.edges):
+                    stack.append((depth + 1, node, edge, edge.child))
 
     def nodes(self) -> Iterator[TreeNode]:
         return (node for _, _, _, node in self.walk())
@@ -332,7 +336,7 @@ class ExecutionTree(Record):
         masses: list = []  # masses[d]: the path's mass at depth d
         for depth, _, edge, node in self.walk():
             mass = masses[depth - 1] * edge.prob if depth else _ONE
-            if node.edges:
+            if node.children:
                 del masses[depth:]
                 masses.append(mass)
             else:
@@ -545,61 +549,56 @@ def build_tree(
     walk (``ExecutionTree.walk``) sees the full tree. Every step fires
     one law, so equal states lie on the same level. The builder makes
     one pass down, level by level, and holds only the level it expands
-    and the next. The first edge to reach a child key steps into the
+    and the next. The first outcome to reach a child key steps into the
     child's state once and makes its node, holding that state alone;
-    expanding the child's level then writes its law and edges. A level
-    keys each state by one ``int``, its ``fired_bits`` shifted above its
-    ``interp_bits``, and carries its applicable laws as an ``int`` mask.
-    A law's outcome table is read when the law first fires. The builder
+    expanding the child's level then writes its law and children. A
+    level keys each state by one ``int``, its ``fired_bits`` shifted
+    above its ``interp_bits``, and lists their ready masks, ``int`` law
+    masks, in the order its nodes were made. A law's outcome table is
+    read when the law first fires. The builder makes no ``TreeEdge`` and
     does not recurse, so depth is not bounded by the recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
     bit = theory.numbering.bit
-    # Nodes and edges are made empty and filled through their slots'
-    # own setters, at about half the cost of the records' __init__.
+    # Nodes are made empty and filled through their slots' own setters,
+    # at about half the cost of the record's __init__.
     new = object.__new__
-    set_state, set_law, set_edges = TreeNode.state.__set__, TreeNode.law.__set__, TreeNode.edges.__set__
-    set_outcome, set_prob, set_child = TreeEdge.outcome.__set__, TreeEdge.prob.__set__, TreeEdge.child.__set__
-    # Per law, (outcome, prob, bit) along its table, made when it first
-    # fires; a child's key ORs the bit (0 for NO_EFFECT) into interp_bits.
+    set_state, set_law, set_children = TreeNode.state.__set__, TreeNode.law.__set__, TreeNode.children.__set__
+    # Per law, (outcome, bit) along its table, made when it first fires;
+    # a child's key ORs the bit (0 for NO_EFFECT) into interp_bits.
     moves: list = [None] * len(laws)
     shift = len(theory.numbering.atoms)
     root, ready = _root(theory, context)
     top = new(TreeNode)
     set_state(top, root)
     # One level: fired_bits << shift | interp_bits -> the state's node,
-    # and in readies, on the same key, its ready mask.
-    key = root.fired_bits << shift | root.interp_bits
-    level, readies = {key: top}, {key: ready}
+    # and in readies, in the order the nodes were made, their ready masks.
+    level, readies = {root.fired_bits << shift | root.interp_bits: top}, [ready]
     while level:
-        below, below_readies = {}, {}
-        for key, node in level.items():
-            ready, state = readies[key], node.state
-            law, edges = None, []
+        below, below_readies = {}, []
+        for node, ready in zip(level.values(), readies):
+            state = node.state
+            law, children = None, []
             if ready:
                 # File order fires the lowest set bit.
                 pos = ((ready & -ready).bit_length() - 1 if rank is None
                        else min(bit_positions(ready), key=rank.__getitem__))
                 law, rows = laws[pos], moves[pos]
                 if rows is None:
-                    rows = moves[pos] = [(outcome, prob, bit(outcome)) for outcome, prob in law.outcomes.pairs]
+                    rows = moves[pos] = [(outcome, bit(outcome)) for outcome, _ in law.outcomes.pairs]
                 base = (state.fired_bits | 1 << pos) << shift | state.interp_bits
-                for outcome, prob, b in rows:
+                for outcome, b in rows:
                     key = base | b
                     child = below.get(key)
                     if child is None:
                         step = _step(theory, state, pos, outcome)
                         child = below[key] = new(TreeNode)
                         set_state(child, step)
-                        below_readies[key] = _next_ready(theory, state, ready, pos, outcome, step)
-                    edge = new(TreeEdge)
-                    set_outcome(edge, outcome)
-                    set_prob(edge, prob)
-                    set_child(edge, child)
-                    edges.append(edge)
+                        below_readies.append(_next_ready(theory, state, ready, pos, outcome, step))
+                    children.append(child)
             set_law(node, law)
-            set_edges(node, tuple(edges))
+            set_children(node, tuple(children))
         level, readies = below, below_readies
     return ExecutionTree(theory, top)
 
@@ -706,11 +705,11 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
 def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
     """Leaf mass by final ``interp_bits``, masks over the tree theory's
     numbering, for ``root_mass`` at the root. ``shares(node, mass)``
-    gives what each of an internal node's edges passes on, in edge
-    order. The fold goes level by level, visiting each shared node
-    once: every edge fires one law, so all paths to a node have the
-    same length and a node's mass is complete once the level above it
-    is done."""
+    gives what an internal node passes on to each of its children, in
+    the order of its law's outcome table. The fold goes level by level,
+    visiting each shared node once: every step fires one law, so all
+    paths to a node have the same length and a node's mass is complete
+    once the level above it is done."""
     by_bits: dict = {}
     # One level's nodes and masses, both keyed by the node's id.
     nodes = {id(tree.root): tree.root}
@@ -720,13 +719,12 @@ def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
         below_masses: dict = {}
         for key, node in nodes.items():
             mass = masses[key]
-            if not node.edges:
+            if not node.children:
                 interp = node.state.interp_bits
                 seen = by_bits.get(interp)
                 by_bits[interp] = mass if seen is None else seen + mass
                 continue
-            for edge, share in zip(node.edges, shares(node, mass)):
-                child = edge.child
+            for child, share in zip(node.children, shares(node, mass)):
                 child_id = id(child)
                 seen = below_masses.get(child_id)
                 if seen is None:
@@ -739,7 +737,7 @@ def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
 
 
 def _probability_shares(node: TreeNode, mass: Fraction) -> list[Fraction]:
-    return [mass * edge.prob for edge in node.edges]
+    return [mass * prob for _, prob in node.law.outcomes.pairs]
 
 
 def _weight_shares(node: TreeNode, mass: int) -> list[int]:

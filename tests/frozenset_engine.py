@@ -22,7 +22,6 @@ from cplogic.engine import (
     Event,
     ExecutionTree,
     LawStatus,
-    TreeEdge,
     TreeNode,
 )
 from cplogic.errors import InvalidOutcomeError, NonExogenousInContextError, NotApplicableError
@@ -248,7 +247,7 @@ def build_tree(
     built: dict = {}  # (interp, fired) -> TreeNode
     # A state is pushed with its applicable laws' positions and plan
     # None; once its children are pushed above it, plan holds the fired
-    # law and (outcome, prob, child) triples.
+    # law and its child states, in the order of the law's outcomes.
     stack: list = [(root, root_ready, None)]
     while stack:
         state, ready, plan = stack[-1]
@@ -262,20 +261,22 @@ def build_tree(
                 continue
             pos = ready[0] if len(ready) == 1 else min(ready, key=lambda i: rank[laws[i].label])
             law = laws[pos]
-            children = [(outcome, prob, fire(theory, state, law, outcome)) for outcome, prob in _outcomes(law)]
+            outcomes = _outcomes(law)
+            # A node's edges are read off its law's table, so the table
+            # is checked against this engine's own list of outcomes.
+            assert outcomes == list(law.outcomes.pairs), law
+            children = [fire(theory, state, law, outcome) for outcome, _ in outcomes]
             stack[-1] = (state, ready, (law, children))
             stack.extend(
                 (child, _next_ready(theory, state, ready, pos, outcome, child), None)
-                for outcome, _, child in children
+                for (outcome, _), child in zip(outcomes, children)
             )
         else:
             stack.pop()
             law, children = plan
-            edges = tuple(
-                TreeEdge(outcome, prob, built[child.interp, child.fired])
-                for outcome, prob, child in children
+            built[state.interp, state.fired] = TreeNode(
+                state, law, tuple(built[child.interp, child.fired] for child in children)
             )
-            built[state.interp, state.fired] = TreeNode(state, law, edges)
     return ExecutionTree(theory, built[root.interp, root.fired])
 
 

@@ -81,6 +81,12 @@ class TestFixStory:
         with pytest.raises(BranchTheoryMismatchError, match="realizes none which law r1 cannot produce"):
             fix_story(theory, branch)
 
+    def test_a_law_that_fires_twice_is_rejected(self, suzy, suzy_branch):
+        event = suzy_branch.events[0]
+        twice = Branch(suzy_branch.states + suzy_branch.states[-1:], suzy_branch.events + (event,))
+        with pytest.raises(BranchTheoryMismatchError, match=f"law {event.label} fires twice in the branch"):
+            fix_story(suzy, twice)
+
     def test_events_outside_the_theory_are_ignored(self, suzy, suzy_branch):
         restricted = Theory((suzy.laws[0],), suzy.exogenous)
         fixed = fix_story(restricted, suzy_branch)

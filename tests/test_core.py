@@ -31,6 +31,7 @@ from cplogic.core import (
     TRUE,
     FALSE,
     eval_formula,
+    fraction_text,
     negation_loop_check,
     validate_theory,
 )
@@ -218,6 +219,9 @@ class TestProbabilityRepresentation:
     def test_denominator_positive(self):
         assert Fraction(1, -2).denominator == 2
 
+
+    def test_fraction_text_writes_every_digit_of_an_integer_past_the_str_limit(self):
+        assert fraction_text(Fraction(10**5000)) == "1" + "0" * 5000
 
 class TestValidateTheory:
     def test_two_thrower_theory_is_valid(self):
@@ -469,6 +473,12 @@ class TestEvalFormula:
         assert eval_formula(formula, frozenset()) is False
         assert prob_formula(load_theory("a:1/4.\n"), frozenset(), formula) == Fraction(1, 4)
 
+
+    def test_a_value_that_is_not_a_formula_is_rejected(self):
+        with pytest.raises(TypeError, match="not a formula: 'a'"):
+            eval_formula("a", frozenset())
+        with pytest.raises(TypeError, match="not a formula: 1"):
+            eval_formula(Negation(1), frozenset())
 
 class TestLiteral:
     def test_holds_in(self):

@@ -1,6 +1,7 @@
 """Execution semantics: states, overestimate, trees, branches, probabilities."""
 
 import copy
+import gc
 import json
 import os
 import pickle
@@ -732,8 +733,7 @@ class TestSharedTree:
         def diamonds(n):
             node = TreeNode(state, None, ())
             for _ in range(n):
-                node = TreeNode(state, law, (TreeEdge(Atom("a1"), Fraction(9, 10), node),
-                                             TreeEdge(NO_EFFECT, Fraction(1, 10), node)))
+                node = TreeNode(state, law, (node, node))
             return node
 
         assert diamonds(200) == diamonds(200)
@@ -756,7 +756,8 @@ class TestSharedTree:
         assert len({id(node) for node in shared.nodes()}) == 7  # 2k + 1
         assert copy.deepcopy(shared.root).state.theory is not shared.theory
         # Every state's text lists its atoms: 43 MB at 1000 links.
-        assert repr(deep).count("TreeEdge(") == 2000
+        # One node text per node of the full tree: the root and one per edge.
+        assert repr(deep).count("TreeNode(") == 2001
         texts = [repr(tree) for tree in trees[1:]]
         # Record's own recursive text, where the recursion limit allows it.
         monkeypatch.setattr(TreeNode, "__repr__", Record.__repr__)
@@ -865,7 +866,7 @@ class TestOneStepPerState:
 def _constructed(theory, ref_tree):
     """The reference tree made again with the records' own constructors,
     over the mask engine's states: what a builder calling ``TreeNode``
-    and ``TreeEdge`` gives."""
+    gives."""
     numbering = theory.numbering
     made: dict = {}
 
@@ -873,8 +874,8 @@ def _constructed(theory, ref_tree):
         node = made.get(id(ref))
         if node is None:
             state = engine.State(theory, numbering.atom_mask(ref.state.interp), numbering.law_mask(ref.state.fired))
-            edges = tuple(TreeEdge(edge.outcome, edge.prob, make(edge.child)) for edge in ref.edges)
-            node = made[id(ref)] = TreeNode(state, ref.law, edges)
+            children = tuple(make(child) for child in ref.children)
+            node = made[id(ref)] = TreeNode(state, ref.law, children)
         return node
 
     return engine.ExecutionTree(theory, make(ref_tree.root))
@@ -920,6 +921,74 @@ class TestOnePassBuilder:
         partial = load_theory("exogenous a0, b0.\na1:9/10 <- a0.\nb1:9/10 <- b0.\n")
         build_tree(partial, interp("a0"))
         assert ["outcomes" in law.__dict__ for law in partial.laws] == [True, False]
+
+
+
+def _tree_edges():
+    """How many ``TreeEdge`` objects the collector tracks now."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is TreeEdge)
+
+
+class TestChildrenAndTables:
+    """A node stores one child per row of its law's outcome table; its
+    ``edges`` are a view of the table, built on first read."""
+
+    def test_build_tree_distribution_and_prob_formula_make_no_tree_edge(self, monkeypatch):
+        text, ctx = _throwers(4)
+        theory = load_theory(text)
+        before = _tree_edges()
+        tree = build_tree(theory, ctx)
+        assert distribution(tree)[ctx | interp("shatters")] == Fraction(15, 16)
+        assert _tree_edges() == before
+        # Counted while prob_formula's own tree is still alive.
+        during = []
+        fold = engine._fold
+
+        def counting(tree, root_mass, shares):
+            during.append(_tree_edges())
+            return fold(tree, root_mass, shares)
+
+        monkeypatch.setattr(engine, "_fold", counting)
+        assert prob_formula(theory, ctx, FormulaAtom(Atom("shatters"))) == Fraction(15, 16)
+        assert during == [before]
+        # Reading the views makes one edge per child of each distinct node.
+        distinct = {id(node): node for node in tree.nodes()}.values()
+        assert _tree_edges() == before + sum(len(node.children) for node in distinct)
+
+    def test_edges_are_the_table_rows_with_the_children_on_random_theories(self):
+        from randgen import random_cases
+
+        for theory, context in random_cases(300):
+            for node in build_tree(theory, context).nodes():
+                pairs = node.law.outcomes.pairs if node.law is not None else ()
+                assert [(edge.outcome, edge.prob) for edge in node.edges] == list(pairs)
+                assert len(node.edges) == len(node.children)
+                assert all(edge.child is child for edge, child in zip(node.edges, node.children))
+
+    def test_the_view_is_read_once_and_not_pickled_or_copied(self):
+        text, ctx = _throwers(2)
+        tree = build_tree(load_theory(text), ctx)
+        root = tree.root
+        assert "edges" not in root.__dict__
+        first = root.edges
+        assert root.edges is first and root.__dict__["edges"] is first
+        data = pickle.dumps(tree)
+        assert b"TreeEdge" not in data
+        for clone in (pickle.loads(data), copy.deepcopy(tree)):
+            assert clone == tree and "edges" not in clone.root.__dict__
+            assert [(e.outcome, e.prob) for e in clone.root.edges] == [(e.outcome, e.prob) for e in first]
+
+    def test_children_that_do_not_match_the_table_raise_on_read(self):
+        text, ctx = _throwers(1)
+        tree = build_tree(load_theory(text), ctx)
+        root, leaf = tree.root, tree.root.children[0]
+        assert len(root.law.outcomes.pairs) == 2
+        for node in (TreeNode(root.state, root.law, (leaf,)), TreeNode(root.state, root.law, (leaf,) * 3),
+                     TreeNode(root.state, None, (leaf,))):
+            with pytest.raises(ValueError):
+                node.edges
+        assert TreeNode(root.state, root.law, root.children).edges == root.edges
 
 
 def _throwers_and_coins(thrown, idle, coins, seed):
@@ -1055,6 +1124,11 @@ class TestMaskStates:
             for clone in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
                 assert clone == state and _state_views(clone) == (interp, fired, over)
         assert len(states) == len({_state_views(state) for state in states})
+
+    def test_a_state_is_unequal_to_a_value_of_another_type(self, bogus):
+        state = initial_state(bogus, frozenset())
+        assert state.__eq__(_state_views(state)) is NotImplemented
+        assert state != _state_views(state) and state != None  # noqa: E711
 
     def test_the_numbering_does_not_follow_the_exogenous_set_order(self):
         # An unpickled or copied theory rebuilds its exogenous frozenset,

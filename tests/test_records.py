@@ -48,7 +48,7 @@ THEORY = Theory((LAW,), frozenset({A}))
 THEORY_TEXT = f"Theory(laws=({LAW_TEXT},), exogenous=frozenset({{Atom('a')}}))"
 STATE = initial_state(THEORY, {A})
 LEAF = TreeNode(STATE, None, ())
-LEAF_TEXT = f"TreeNode(state={STATE!r}, law=None, edges=())"
+LEAF_TEXT = f"TreeNode(state={STATE!r}, law=None, children=())"
 
 #: One value of every record type, with its expected repr.
 CASES = [

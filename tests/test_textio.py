@@ -104,6 +104,11 @@ class TestParseTheory:
         assert str(err.value) == f"unexpected input after '.' (line {line}, column {column})"
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_a_word_where_a_probability_belongs_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"expected a probability \(decimal, num/den, or \*\)") as err:
+            parse_theory("a:x.\n")
+        assert (err.value.line, err.value.column) == (1, 3)
+
     def test_probability_above_one_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse_theory("a:1.2.\n")
@@ -354,6 +359,10 @@ class TestDotExport:
         forged = Branch(branch.states, (Event("r1", outcome),))
         with pytest.raises(InvalidOutcomeError):
             export_tree_dot(forged, theory=theory)
+
+    def test_a_value_that_is_neither_a_tree_nor_a_branch_is_rejected(self):
+        with pytest.raises(TypeError, match="cannot export str as DOT"):
+            export_tree_dot("digraph {}")
 
     def test_mask_formatter_writes_what_format_interp_writes(self):
         # In the wide theory exogenous atoms are numbered first and a10
