@@ -16,34 +16,31 @@ Every entry point that takes a state passes it through ``_adopt``,
 which converts a state of another theory object through those views.
 
 Successor states are incremental, and the overestimate is computed on
-demand. One stepping kernel, ``_step``, makes every successor: it ORs
-the outcome's atom bit and the law's bit into its parent's masks. A
-state's overestimate is the fixpoint of its own masks, computed the
-first time something reads it and then stored. A successor never takes
-its parent's; only ``_adopt`` carries one over, from the same state of
-another theory object. Pickling or copying a state carries what it has
-stored, or nothing. Only a negated body, the target cut of
-``enumerate_branches`` and the causation queries read it: a law without
-negated body is applicable once its positive body is true. The public
-``fire`` checks that the theory holds the law, that the law is
-applicable and that its outcome table knows the outcome, then calls the
-kernel; ``replay_story`` goes through it, since a story is user input.
-The tree builder and the branch walker call the kernel unchecked, as
-their moves come from their ready masks and the laws' outcome tables.
-They carry each state's applicable laws as an ``int`` law mask and,
-after a step, recheck only the laws that the numbering's ``pos_users``
-and ``neg_users`` tie to the new atom or to atoms that left the
-overestimate. ``build_tree`` makes one pass down, holding two levels,
-and keys each state by one ``int``, its ``fired_bits`` above its
-``interp_bits``, computed from its parent's masks: each distinct state
-is stepped into and its node written once, 2k+1 nodes and 2k steps on
-k thrown throwers. ``enumerate_branches`` keys its states by their two
-masks and makes each distinct state's successors once per call,
-shared by every path through it: 2k(2^k − 1) steps on k
-thrown throwers, where a step per path took 632 at k=4. ``overestimate``
-and ``applicable_laws`` compute from scratch, as the walkers do only for
-the root's ready mask. The fixpoint ``overestimate`` works on masks
-only, in and out; a state's ``over`` is its one frozenset view.
+demand. One stepping kernel, ``_step``, makes every successor from a
+move: a law position and the atom bit of one row of its outcome table,
+0 for NO_EFFECT. It ORs that bit and the law's bit into its parent's
+masks. A state's overestimate is the fixpoint of its own masks,
+computed the first time something reads it and then stored; only
+``_adopt`` carries one over, and pickling carries only a stored one.
+Only a negated body, the target cut of ``enumerate_branches`` and the
+causation queries read it: a law without negated body is applicable
+once its positive body is true. The public ``fire`` checks that the theory holds the law, that
+the law is applicable and that its outcome table knows the outcome,
+then turns the outcome into its bit and calls the kernel;
+``replay_story`` goes through it, since a story is user input. The tree
+builder and the branch walker call it unchecked, with each law's bits
+taken once from its table, along ready masks: ``int`` law masks of each
+state's applicable laws. After a step they recheck only the laws that
+the numbering's ``pos_users`` and ``neg_users`` tie to the new atom or
+to atoms that left the overestimate. ``build_tree`` makes one pass
+down, holding two levels, and keys each state by one ``int``, its
+``fired_bits`` above its ``interp_bits``: each distinct state is
+stepped into and its node written once, 2k+1 nodes and 2k steps on k
+thrown throwers. ``enumerate_branches`` keys its states by their two
+masks and makes each distinct state's successors once per call, shared
+by every path through it: 2k(2^k − 1) steps on k thrown throwers.
+``overestimate`` and ``applicable_laws`` compute from scratch, on masks
+in and out, as the walkers do only for the root's ready mask.
 
 Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
 the full tree, path by path, in pre-order, through each node's
@@ -450,7 +447,7 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
     residual probability. Realizing an atom that is already true leaves
     the interpretation unchanged but still consumes the law. The law
     must be one the theory holds, applicable in ``state``, and the
-    outcome one of its own; the step itself is ``_step``.
+    outcome one of its own; ``_step`` then steps by the outcome's bit.
     """
     i = _position(theory, law)
     state = _adopt(theory, state)
@@ -463,16 +460,16 @@ def fire(theory: Theory, state: State, law: CPLaw, outcome) -> State:
             raise InvalidOutcomeError(f"law {law.label} has no residual probability for a no-effect firing")
     elif not isinstance(outcome, Atom) or law.outcomes.prob(outcome) is None:
         raise InvalidOutcomeError(f"{outcome} is not a head atom of law {law.label}")
-    return _step(theory, state, i, outcome)
+    return _step(theory, state, i, theory.numbering.bit(outcome))
 
 
-def _step(theory: Theory, state: State, i: int, outcome) -> State:
+def _step(theory: Theory, state: State, i: int, bit: int) -> State:
     """The successor of ``state``, a state of ``theory``, after law ``i``
-    fired with ``outcome``, unchecked: the law must be applicable there
-    and the outcome one of its table's. ``fire`` checks both; the
-    walkers step only along their ready masks and the laws' tables.
-    ``Numbering.bit`` is 0 for NO_EFFECT, which realizes no atom."""
-    return State(theory, state.interp_bits | theory.numbering.bit(outcome), state.fired_bits | 1 << i)
+    fired with the outcome of atom bit ``bit`` (0 for NO_EFFECT), unchecked:
+    the law must be applicable there and the outcome one of its table's.
+    ``fire`` checks both and computes the bit; the walkers step only along
+    their ready masks and the bits of the laws' tables."""
+    return State(theory, state.interp_bits | bit, state.fired_bits | 1 << i)
 
 
 def applicable_laws(theory: Theory, state: State) -> list[CPLaw]:
@@ -494,11 +491,11 @@ def _root(theory: Theory, context: AbstractSet[Atom]) -> tuple[State, int]:
     return root, ready
 
 
-def _next_ready(theory: Theory, state: State, ready: int, pos: int, outcome, child: State) -> int:
+def _next_ready(theory: Theory, state: State, ready: int, pos: int, bit: int, child: State) -> int:
     """The ready mask of ``child``: bit i set when law i is applicable.
 
-    ``child`` is ``state`` after law ``pos`` fired with ``outcome``, and
-    ``ready`` is the mask of the laws applicable in ``state``.
+    ``child`` is ``state`` after law ``pos`` fired with atom bit ``bit``
+    (0 for NO_EFFECT); ``ready`` is the mask of the laws applicable in ``state``.
     Applicability is monotone along a branch until the law fires, so the
     child keeps every other law of ``ready``. A law can only become
     applicable when a positive body atom comes true or a negated one
@@ -508,8 +505,8 @@ def _next_ready(theory: Theory, state: State, ready: int, pos: int, outcome, chi
     numbering = theory.numbering
     rest = ready & ~(1 << pos)
     woken: list = []
-    if child.interp_bits != state.interp_bits:
-        woken += numbering.pos_users[numbering.index[outcome]]
+    if bit & ~state.interp_bits:
+        woken += numbering.pos_users[bit.bit_length() - 1]
     if numbering.negated and child.over_bits != state.over_bits:
         lost = state.over_bits & ~child.over_bits & numbering.negated
         for i in bit_positions(lost):
@@ -554,9 +551,10 @@ def build_tree(
     expanding the child's level then writes its law and children. A
     level keys each state by one ``int``, its ``fired_bits`` shifted
     above its ``interp_bits``, and lists their ready masks, ``int`` law
-    masks, in the order its nodes were made. A law's outcome table is
-    read when the law first fires. The builder makes no ``TreeEdge`` and
-    does not recurse, so depth is not bounded by the recursion limit.
+    masks, in the order its nodes were made. A law's moves, the atom
+    bits of its table's rows, are taken when it first fires. The builder
+    makes no ``TreeEdge`` and does not recurse, so depth is not bounded
+    by the recursion limit.
     """
     rank = _policy_rank(theory, policy)
     laws = theory.laws
@@ -565,8 +563,8 @@ def build_tree(
     # at about half the cost of the record's __init__.
     new = object.__new__
     set_state, set_law, set_children = TreeNode.state.__set__, TreeNode.law.__set__, TreeNode.children.__set__
-    # Per law, (outcome, bit) along its table, made when it first fires;
-    # a child's key ORs the bit (0 for NO_EFFECT) into interp_bits.
+    # Per law, the atom bit of each row of its table (0 for NO_EFFECT),
+    # made when it first fires: a child's key ORs it into interp_bits.
     moves: list = [None] * len(laws)
     shift = len(theory.numbering.atoms)
     root, ready = _root(theory, context)
@@ -586,16 +584,16 @@ def build_tree(
                        else min(bit_positions(ready), key=rank.__getitem__))
                 law, rows = laws[pos], moves[pos]
                 if rows is None:
-                    rows = moves[pos] = [(outcome, bit(outcome)) for outcome, _ in law.outcomes.pairs]
+                    rows = moves[pos] = [bit(outcome) for outcome, _ in law.outcomes.pairs]
                 base = (state.fired_bits | 1 << pos) << shift | state.interp_bits
-                for outcome, b in rows:
+                for b in rows:
                     key = base | b
                     child = below.get(key)
                     if child is None:
-                        step = _step(theory, state, pos, outcome)
+                        step = _step(theory, state, pos, b)
                         child = below[key] = new(TreeNode)
                         set_state(child, step)
-                        below_readies.append(_next_ready(theory, state, ready, pos, outcome, step))
+                        below_readies.append(_next_ready(theory, state, ready, pos, b, step))
                     children.append(child)
             set_law(node, law)
             set_children(node, tuple(children))
@@ -626,8 +624,9 @@ def enumerate_branches(
         check_known(target, theory.vocabulary, "target")
         target = theory.numbering.atom_mask(target)
     root, root_ready = _root(theory, context)
-    # Per law, (outcome, event) along its table: one Event per move.
-    law_moves = [[(outcome, Event(law.label, outcome)) for outcome, _ in law.outcomes.pairs]
+    # Per law, (atom bit, event) along its table: one Event per move.
+    bit = theory.numbering.bit
+    law_moves = [[(bit(outcome), Event(law.label, outcome)) for outcome, _ in law.outcomes.pairs]
                  for law in theory.laws]
 
     def expand(state: State, ready: int) -> tuple[bool, list]:
@@ -644,9 +643,9 @@ def enumerate_branches(
             return target is None or interp == target, []
         successors = []
         for pos in bit_positions(ready):
-            for outcome, event in law_moves[pos]:
-                child = _step(theory, state, pos, outcome)
-                successors.append((child, _next_ready(theory, state, ready, pos, outcome, child), event))
+            for b, event in law_moves[pos]:
+                child = _step(theory, state, pos, b)
+                successors.append((child, _next_ready(theory, state, ready, pos, b, child), event))
         return False, successors
 
     def walk() -> Iterator[Branch]:

@@ -19,8 +19,8 @@ from cplogic import corpus, engine
 from cplogic.causation import fix_story
 from cplogic.cli import main
 from cplogic.core import (
-    FALSE, Atom, CPLaw, Conjunction, Disjunction, FormulaAtom, HeadAlternative, Negation, Record, TRUE, Theory,
-    bit_positions, eval_formula,
+    FALSE, Atom, CPLaw, Conjunction, Disjunction, FormulaAtom, HeadAlternative, Negation, Numbering, Record, TRUE,
+    Theory, bit_positions, eval_formula,
 )
 from cplogic.engine import (
     NO_EFFECT,
@@ -387,8 +387,8 @@ def carried(monkeypatch):
         seen.append((theory, state, ready))
         return state, ready
 
-    def recording(theory, state, ready, pos, outcome, child):
-        result = step(theory, state, ready, pos, outcome, child)
+    def recording(theory, state, ready, pos, bit, child):
+        result = step(theory, state, ready, pos, bit, child)
         seen.append((theory, child, result))
         return result
 
@@ -771,13 +771,75 @@ def steps(monkeypatch):
     made = []
     kernel = engine._step
 
-    def counting(theory, state, i, outcome):
-        child = kernel(theory, state, i, outcome)
+    def counting(theory, state, i, bit):
+        child = kernel(theory, state, i, bit)
         made.append((child.interp_bits, child.fired_bits))
         return child
 
     monkeypatch.setattr(engine, "_step", counting)
     return made
+
+
+@pytest.fixture
+def bit_calls(monkeypatch):
+    """The outcome of every ``Numbering.bit`` call, made through the class."""
+    seen = []
+    bit = Numbering.bit
+
+    def counting(numbering, atom):
+        seen.append(atom)
+        return bit(numbering, atom)
+
+    monkeypatch.setattr(Numbering, "bit", counting)
+    return seen
+
+
+class TestMovesAsBits:
+    """The kernel takes an outcome's atom bit: each walker turns a law's
+    table rows into bits once, and ``fire`` turns its one outcome into
+    a bit once, after its checks."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_build_tree_takes_the_bits_of_each_fired_laws_rows_once(self, bit_calls, steps, k):
+        text, ctx = _throwers(k)
+        theory = load_theory(text)
+        bit_calls.clear()
+        build_tree(theory, ctx)
+        # One call per row of each of the k laws, though 2k states are
+        # stepped into; the kernel itself derives nothing.
+        assert len(steps) == 2 * k
+        assert Counter(bit_calls) == {Atom("shatters"): k, NO_EFFECT: k}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_the_branch_walk_takes_the_bits_of_every_laws_rows_once(self, bit_calls, steps, k):
+        text, ctx = _throwers(k)
+        theory = load_theory(text)
+        bit_calls.clear()
+        branches = list(enumerate_branches(theory, ctx))
+        assert len(steps) == 2 * k * (2**k - 1)  # one step per move of a distinct state
+        assert Counter(bit_calls) == {Atom("shatters"): k, NO_EFFECT: k}
+        bit_calls.clear()
+        assert list(enumerate_branches(theory, ctx, ctx | interp("shatters"))) == [
+            branch for branch in branches if Atom("shatters") in branch.final_state.interp
+        ]
+        assert len(bit_calls) == 2 * k
+
+    def test_fire_takes_the_bit_once_after_its_checks(self, bit_calls, steps):
+        text, ctx = _throwers(2)
+        theory = load_theory(text)
+        root = initial_state(theory, ctx)
+        law = theory.laws[0]
+        for outcome in (Atom("shatters"), NO_EFFECT):
+            bit_calls.clear()
+            child = fire(theory, root, law, outcome)
+            assert bit_calls == [outcome]
+            assert steps[-1] == (child.interp_bits, child.fired_bits)
+        bit_calls.clear()
+        with pytest.raises(InvalidOutcomeError):
+            fire(theory, root, law, Atom("t1"))
+        with pytest.raises(NotApplicableError):
+            fire(theory, child, law, Atom("shatters"))
+        assert bit_calls == []
 
 
 class TestOneStepPerState:
@@ -1080,9 +1142,61 @@ def _formulas(theory):
     return formulas
 
 
+def _path_nodes(tree):
+    """How many nodes the full tree has, path by path, counted over the DAG."""
+    below: dict = {}  # id(node) -> nodes of the full subtree under it
+    stack = [tree.root]
+    while stack:
+        node = stack[-1]
+        todo = [child for child in node.children if id(child) not in below]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        below[id(node)] = 1 + sum([below[id(child)] for child in node.children])
+    return below[id(tree.root)]
+
+
 class TestMaskStates:
     """The mask engine against the frozenset engine it replaced, which
     ``tests/frozenset_engine.py`` keeps as the reference."""
+
+    def test_structured_theories_of_real_width_match_the_frozenset_engine(self):
+        """Trees under file order and reversed order, the distribution and
+        every atom's probability, on 10- to 40-law ``structured_theory``
+        draws. ``_tree_rows`` and the reference's distribution walk every
+        path, so a draw whose reference tree, in either order, has more
+        than 5,000 nodes path by path is redrawn: 1 of the first 17
+        draws of this seed."""
+        import random
+
+        import frozenset_engine as reference
+        from randgen import structured_theory
+
+        rng = random.Random(2511)
+        checked = redrawn = 0
+        widths = set()
+        while checked < 16:
+            theory, context = structured_theory(rng)
+            labels = [law.label for law in theory.laws]
+            ref_trees = {order: reference.build_tree(theory, context, policy=policy)
+                         for order, policy in (("file", None), ("reversed", labels[::-1]))}
+            if max(map(_path_nodes, ref_trees.values())) > 5_000:
+                redrawn += 1
+                continue
+            checked += 1
+            widths.add(len(labels))
+            dist = reference.distribution(ref_trees["file"])
+            assert sum(dist.values()) == 1
+            for order, ref_tree in ref_trees.items():
+                tree = build_tree(theory, context, policy=None if order == "file" else labels[::-1])
+                assert _tree_rows(tree) == _tree_rows(ref_tree), order
+                assert distribution(tree) == dist, order
+            formulas = [FormulaAtom(atom) for atom in sorted(theory.vocabulary)]
+            for formula, want in zip(formulas, reference.fold_formulas(ref_trees["file"], formulas)):
+                assert prob_formula(theory, context, formula) == want, formula
+        assert redrawn == 1
+        assert min(widths) >= 10 and max(widths) <= 40 and max(widths) - min(widths) >= 20
 
     def test_views_trees_branches_and_probabilities_match_the_frozenset_engine(self):
         import frozenset_engine as reference
