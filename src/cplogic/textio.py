@@ -23,7 +23,9 @@ per event, in order:
     r2 -> none.
 
 Formulas use ``!`` (or ``~``) for negation, ``&``, ``|``, parentheses and
-the constants ``true``/``false``, with the usual precedence.
+the constants ``true``/``false``, with the usual precedence. In all three
+forms, blanks between tokens are spaces, tabs, CRs and LFs; any other
+whitespace there, such as a no-break space, is a parse error.
 """
 
 from __future__ import annotations
@@ -69,8 +71,11 @@ from .errors import (
     UnknownLabelError,
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"\d+\.\d+|\d+\s*/\s*\d+|\d+")
+#: Each token's pattern reads the blanks before it.
+_BLANKS = re.compile(r"[ \t\r\n]*")
+_IDENT = re.compile(_BLANKS.pattern + r"([A-Za-z_][A-Za-z0-9_]*)")
+_NUMBER = re.compile(_BLANKS.pattern + r"(\d+\.\d+|\d+\s*/\s*\d+|\d+)")
+_SYMBOL = re.compile(_BLANKS.pattern + r"(<-|->|[@:;,.~!&|()*])")
 _DIGITS = re.compile(r"\d+")
 
 #: Longest digit run a probability numeral may have. Numerals are
@@ -111,20 +116,16 @@ class _Scanner:
         self.numerals = {} if numerals is None else numerals
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        """A parse error at the column of the next token."""
+        return ParseError(message, self.line, _BLANKS.match(self.text, self.pos).end() + 1)
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return _BLANKS.fullmatch(self.text, self.pos) is not None
 
     def try_symbol(self, symbol: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(symbol, self.pos):
-            self.pos += len(symbol)
+        match = _SYMBOL.match(self.text, self.pos)
+        if match and match[1] == symbol:
+            self.pos = match.end()
             return True
         return False
 
@@ -132,24 +133,21 @@ class _Scanner:
         if not self.try_symbol(symbol):
             raise self.error(f"expected {symbol!r}")
 
-    def ident(self, what: str = "identifier") -> str:
-        self.skip_ws()
+    def ident(self, what: str) -> str:
         match = _IDENT.match(self.text, self.pos)
         if not match:
             raise self.error(f"expected {what}")
         self.pos = match.end()
-        return match.group()
+        return match[1]
 
     def try_keyword(self, word: str) -> bool:
-        self.skip_ws()
         match = _IDENT.match(self.text, self.pos)
-        if match and match.group() == word:
+        if match and match[1] == word:
             self.pos = match.end()
             return True
         return False
 
     def atom(self) -> Atom:
-        self.skip_ws()
         start = self.pos
         name = self.ident("atom")
         atom = self.names.get(name)
@@ -171,11 +169,10 @@ class _Scanner:
     def probability(self) -> tuple[Probability, bool]:
         if self.try_symbol("*"):
             return Fraction(1, 2), True
-        self.skip_ws()
         match = _NUMBER.match(self.text, self.pos)
         if not match:
             raise self.error("expected a probability (decimal, num/den, or *)")
-        token = match.group()
+        token = match[1]
         value = self.numerals.get(token)
         if value is None:
             try:
@@ -313,27 +310,27 @@ def parse_story(text: str, theory: Theory) -> StoryDocument:
                 context = sc.atoms()
                 sc.expect_symbol(".")
         else:
-            steps.append(_parse_step(sc, theory, sc.line))
+            steps.append(_parse_step(sc, theory))
     if context is None:
         raise ParseError("a story must start with a 'context' line", 1)
     return StoryDocument(context, tuple(steps))
 
 
-def _parse_step(sc: _Scanner, theory: Theory, line_no: int) -> StoryStep:
+def _parse_step(sc: _Scanner, theory: Theory) -> StoryStep:
     sc.try_symbol("@")
     label = sc.ident("law label")
     sc.expect_symbol("->")
     try:
         law = theory.law(label)
     except UnknownLabelError:
-        raise UnknownLabelError(f"unknown law label {label!r} (line {line_no})") from None
+        raise UnknownLabelError(f"unknown law label {label!r} (line {sc.line})") from None
     outcome = NO_EFFECT if sc.try_keyword("none") else sc.atom()
     if law.outcomes.prob(outcome) is None:
         if outcome is NO_EFFECT:
-            raise NoEffectNotAllowedError(f"law {label} always has a visible effect (line {line_no})")
-        raise OutcomeNotInHeadError(f"{outcome} is not a head atom of law {label} (line {line_no})")
+            raise NoEffectNotAllowedError(f"law {label} always has a visible effect (line {sc.line})")
+        raise OutcomeNotInHeadError(f"{outcome} is not a head atom of law {label} (line {sc.line})")
     sc.expect_symbol(".")
-    return StoryStep(label, outcome, line_no)
+    return StoryStep(label, outcome, sc.line)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +369,8 @@ def _parse_conjunction(sc: _Scanner, depth: int) -> Formula:
 
 def _parse_unary(sc: _Scanner, depth: int) -> Formula:
     if depth > MAX_FORMULA_NESTING:
-        raise sc.error("formula nested too deeply")
+        # At the end of the last token read, before any blanks.
+        raise ParseError("formula nested too deeply", sc.line, sc.pos + 1)
     if sc.try_symbol("!") or sc.try_symbol("~"):
         return Negation(_parse_unary(sc, depth + 1))
     if sc.try_symbol("("):

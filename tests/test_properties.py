@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cplogic import corpus
 from cplogic.cli import main
 from cplogic.core import RESERVED_WORDS, Atom, CPLaw, HeadAlternative, Literal, Theory, validate_theory
-from cplogic.errors import CPLogicError
+from cplogic.errors import CPLogicError, ParseError
 from cplogic.textio import (
     load_theory,
     parse_context,
@@ -54,6 +54,21 @@ STORY = st.one_of(
     ).map(lambda parts: "\n".join([parts[0], *parts[1]])),
 )
 
+# Formula text: operators and atoms with blanks, and other whitespace,
+# between them.
+_SPACE = st.sampled_from(["", "", " ", "\t", "\r\n", " \t\r ", "\xa0", "\x0b"])
+FORMULA = st.one_of(
+    st.text(max_size=40),
+    st.recursive(
+        st.sampled_from(["a", "b", "true", "Bad", "none", "5", ""]),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(["!", "~", "("]), _SPACE, inner).map("".join),
+            st.tuples(inner, _SPACE, st.sampled_from(["&", "|", ",", ")"]), _SPACE, inner).map("".join),
+        ),
+        max_leaves=8,
+    ),
+)
+
 _SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
 
@@ -67,6 +82,27 @@ def test_parsers_raise_only_package_errors(text):
     ):
         try:
             parse(text)
+        except CPLogicError:
+            pass
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(st.one_of(THEORY, STORY, FORMULA))
+def test_parse_errors_point_inside_the_input(text):
+    """A file's error names one of its lines and a column on it, counted
+    without the comment; a formula, context or literal is one line."""
+    theory = corpus.theory("suzy_billy")
+    statements = [raw.split("%", 1)[0] for raw in text.splitlines()] or [""]
+    for parse, lines in (
+        (parse_theory, statements), (lambda t: parse_story(t, theory), statements),
+        (parse_formula, [text]), (parse_context, [text]), (parse_literal, [text]),
+    ):
+        try:
+            parse(text)
+        except ParseError as err:
+            assert err.line is not None and 1 <= err.line <= len(lines)
+            if err.column is not None:
+                assert 1 <= err.column <= len(lines[err.line - 1]) + 1
         except CPLogicError:
             pass
 

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -290,6 +291,69 @@ class TestFormulasAndContexts:
     def test_literal_parsing(self):
         assert parse_literal("~death") == Literal(Atom("death"), False)
         assert parse_literal("death") == Literal(Atom("death"))
+
+
+# Blanks before the bad token. A CR ends a line of a file, so file lines
+# get tabs and spaces; formula, context and literal texts get CRs and LFs too.
+_B = "\t \t "
+_R = " \r\t\n "
+_story = partial(parse_story, theory=corpus.theory("suzy_billy"))
+
+
+class TestErrorColumns:
+    @pytest.mark.parametrize("parse, text, message, line, column", [
+        pytest.param(parse_theory, f"@r1{_B}x.", "expected ':'", 1, 8, id="symbol"),
+        pytest.param(_story, f"context.\nr1{_B}shatters.", "expected '->'", 2, 7, id="symbol-story"),
+        pytest.param(parse_formula, f"(a{_R}", "expected ')'", 1, 8, id="symbol-at-end"),
+        pytest.param(parse_theory, f"a <-{_B}5.", "expected atom", 1, 9, id="atom"),
+        pytest.param(parse_formula, f"a &{_R}5", "expected atom", 1, 9, id="atom-formula"),
+        pytest.param(_story, f"context.\n@{_B}5 -> shatters.", "expected law label", 2, 6, id="label"),
+        pytest.param(_story, f"{_B}r1 -> shatters.", "a story must start with a 'context' line", 1, 5,
+                     id="context"),
+        pytest.param(parse_theory, f"a:{_B}x.", "expected a probability (decimal, num/den, or *)", 1, 7,
+                     id="probability"),
+        pytest.param(parse_theory, f"a:{_B}3 /\t2.", "probability 3 /\t2 exceeds 1", 1, 7, id="exceeds-one"),
+        pytest.param(parse_theory, f"a:{_B}1/0.", "probability denominator is zero", 1, 7, id="zero-denominator"),
+        pytest.param(parse_theory, f"a:{_B}0.{'1' * 100_001}.", "probability numeral has too many digits", 1, 7,
+                     id="digits"),
+        pytest.param(parse_theory, f"a.\nb <- a,{_B}none.", "invalid atom name 'none': reserved word", 2, 12,
+                     id="reserved"),
+        pytest.param(parse_formula, f"!{_R}none", "invalid atom name 'none': reserved word", 1, 7,
+                     id="reserved-formula"),
+        pytest.param(parse_context, f"a,{_R}Bad", "invalid atom name 'Bad': expected a lowercase-leading identifier",
+                     1, 8, id="invalid-context"),
+        pytest.param(parse_literal, f"~{_R}Bad", "invalid atom name 'Bad': expected a lowercase-leading identifier",
+                     1, 7, id="invalid-literal"),
+        pytest.param(parse_theory, f"a.{_B}b\n", "unexpected input after '.'", 1, 7, id="after-dot"),
+        pytest.param(_story, f"context.{_B}r1 -> shatters.", "unexpected input after '.'", 1, 13,
+                     id="after-dot-story"),
+        pytest.param(parse_formula, f"a{_R}b", "unexpected trailing input", 1, 7, id="trailing-formula"),
+        pytest.param(parse_context, f"a,{_R}b{_R}c", "unexpected trailing input", 1, 14, id="trailing-context"),
+        pytest.param(parse_literal, f"~{_R}a{_R}b", "unexpected trailing input", 1, 13, id="trailing-literal"),
+        # The nesting cap points just past the last token read, before its blanks.
+        pytest.param(parse_formula, f"({_R}" * (MAX_FORMULA_NESTING + 1) + "a", "formula nested too deeply", 1,
+                     (MAX_FORMULA_NESTING + 1) * (1 + len(_R)) - len(_R) + 1, id="nesting"),
+    ])
+    def test_an_error_after_blanks_points_at_the_bad_token(self, parse, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("parse, text, message, column", [
+        (parse_theory, "a <- \xa0b.\n", "expected atom", 6),
+        (parse_theory, "a.\xa0\n", "unexpected input after '.'", 3),
+        (parse_formula, "a\x0b& b", "unexpected trailing input", 2),
+        (parse_formula, "!\x0ca", "expected atom", 2),
+        (parse_context, "a,\x0cb", "expected atom", 3),
+        (parse_context, "a\x0b", "unexpected trailing input", 2),
+        (parse_literal, "~\x0ba", "expected atom", 2),
+        (parse_literal, "a\x0c", "unexpected trailing input", 2),
+    ])
+    def test_other_whitespace_is_an_error_at_its_own_column(self, parse, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (line 1, column {column})"
 
 
 class TestSerialization:
