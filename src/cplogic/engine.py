@@ -46,12 +46,19 @@ Two walkers read a tree. ``ExecutionTree.walk`` yields every node of
 the full tree, path by path, in pre-order, through each node's
 ``edges`` view; ``nodes``, ``leaves_with_mass`` and both renderings in
 ``textio`` read it. ``_fold`` sums the leaf masses per final state,
-level by level, visiting each shared tree node once, with two kinds of
-mass, and reads only the nodes' children and laws. ``distribution_bits``,
-which ``distribution`` and ``cplogic tree`` read, passes exact
-``Fraction`` masses. ``prob_formula`` passes integers over the product
-of every law's scale (the lcm of its outcome denominators, in the law's
-``outcomes`` table), so the only ``Fraction`` it makes is its answer.
+level by level, with two kinds of mass, and reads only the nodes'
+states, children and laws. It keys a level's nodes by their fired laws
+and the atoms it is told to keep, and expands one node per key: nodes
+that agree on every atom a law body reads go on to the same futures.
+``distribution_bits``, which ``distribution`` and ``cplogic tree``
+read, keeps every atom, so it expands each shared tree node once, and
+passes exact ``Fraction`` masses. ``prob_formula`` keeps the formula's
+atoms and the body atoms only: atoms that neither reads, such as idle
+coins, multiply the tree's states, and the fold merges those states
+without reading the nodes below them. It passes integers over the
+product of every law's scale (the lcm of its outcome denominators, in
+the law's ``outcomes`` table), so the only ``Fraction`` it makes is its
+answer.
 """
 
 from __future__ import annotations
@@ -701,36 +708,49 @@ def replay_story(theory: Theory, story: "StoryDocument") -> Branch:
     return Branch(tuple(states), tuple(events))
 
 
-def _fold(tree: ExecutionTree, root_mass, shares) -> dict:
-    """Leaf mass by final ``interp_bits``, masks over the tree theory's
-    numbering, for ``root_mass`` at the root. ``shares(node, mass)``
-    gives what an internal node passes on to each of its children, in
-    the order of its law's outcome table. The fold goes level by level,
-    visiting each shared node once: every step fires one law, so all
-    paths to a node have the same length and a node's mass is complete
-    once the level above it is done."""
+def _fold(tree: ExecutionTree, root_mass, shares, keep: int) -> dict:
+    """Leaf mass by final ``interp_bits & keep``, masks over the tree
+    theory's numbering, for ``root_mass`` at the root. ``shares(node,
+    mass)`` gives what an internal node passes on to each of its
+    children, in the order of its law's outcome table. The fold goes
+    level by level: every step fires one law, so all paths to a node
+    have the same length and a node's mass is complete once the level
+    above it is done.
+
+    A level keys each node by its ``fired_bits`` and its ``interp_bits
+    & keep``; the first node to reach a key takes the mass of every
+    later one, whose children are never read. That is sound when
+    ``keep`` holds every atom that a law body reads. Two nodes of one
+    level with equal keys have then fired the same laws and agree on
+    every body atom, and so on the overestimate's body atoms, which
+    are a fixpoint of those alone. They fire the same law under the
+    tree's policy, their children pair off by key again, and one node
+    passing on the summed mass passes on what the two would. With every
+    atom kept, the key is ``build_tree``'s state key, and each shared
+    node is expanded once."""
     by_bits: dict = {}
-    # One level's nodes and masses, both keyed by the node's id.
-    nodes = {id(tree.root): tree.root}
-    masses = {id(tree.root): root_mass}
+    # One level's nodes and masses, both keyed as above; the root is alone on its level.
+    nodes = {None: tree.root}
+    masses = {None: root_mass}
     while nodes:
         below_nodes: dict = {}
         below_masses: dict = {}
         for key, node in nodes.items():
             mass = masses[key]
             if not node.children:
-                interp = node.state.interp_bits
+                interp = node.state.interp_bits & keep
                 seen = by_bits.get(interp)
                 by_bits[interp] = mass if seen is None else seen + mass
                 continue
             for child, share in zip(node.children, shares(node, mass)):
-                child_id = id(child)
-                seen = below_masses.get(child_id)
+                state = child.state
+                child_key = state.fired_bits, state.interp_bits & keep
+                seen = below_masses.get(child_key)
                 if seen is None:
-                    below_nodes[child_id] = child
-                    below_masses[child_id] = share
+                    below_nodes[child_key] = child
+                    below_masses[child_key] = share
                 else:
-                    below_masses[child_id] = seen + share
+                    below_masses[child_key] = seen + share
         nodes, masses = below_nodes, below_masses
     return by_bits
 
@@ -748,7 +768,7 @@ def _weight_shares(node: TreeNode, mass: int) -> list[int]:
 
 def distribution_bits(tree: ExecutionTree) -> dict[int, Probability]:
     """Leaf probability mass by final ``interp_bits``, as exact ratios."""
-    return _fold(tree, _ONE, _probability_shares)
+    return _fold(tree, _ONE, _probability_shares, (1 << len(tree.theory.numbering.atoms)) - 1)
 
 
 def distribution(tree: ExecutionTree) -> Distribution:
@@ -777,13 +797,17 @@ def prob_formula(
     bits = [(atom, numbering.bit(atom)) for atom in atoms]
     relevant = sum(bit for _, bit in bits)
     holds: dict = {}  # interp_bits & relevant -> bool
+    # The fold keeps the formula's atoms and every body atom (see _fold).
+    keep = relevant
+    for body in numbering.pos + numbering.neg:
+        keep |= body
     # Masses are integers over scale, the product of every law's scale,
     # so the fold and the sum below make no Fraction. The tree comes from
     # the module's build_tree binding, which bench/tracer.py wraps to
     # count nodes (tests/test_bench_contract.py).
     scale = prod([law.outcomes.scale for law in theory.laws])
     total = 0
-    for interp, mass in _fold(build_tree(theory, context), scale, _weight_shares).items():
+    for interp, mass in _fold(build_tree(theory, context), scale, _weight_shares, keep).items():
         seen = interp & relevant
         value = holds.get(seen)
         if value is None:

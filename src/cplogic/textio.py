@@ -25,7 +25,8 @@ per event, in order:
 Formulas use ``!`` (or ``~``) for negation, ``&``, ``|``, parentheses and
 the constants ``true``/``false``, with the usual precedence. In all three
 forms, blanks between tokens are spaces, tabs, CRs and LFs; any other
-whitespace there, such as a no-break space, is a parse error.
+whitespace there, such as a no-break space, is a parse error. File lines
+end at LF, CR or CRLF only, and numerals use ASCII digits only.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ from .errors import (
 #: Each token's pattern reads the blanks before it.
 _BLANKS = re.compile(r"[ \t\r\n]*")
 _IDENT = re.compile(_BLANKS.pattern + r"([A-Za-z_][A-Za-z0-9_]*)")
-_NUMBER = re.compile(_BLANKS.pattern + r"(\d+\.\d+|\d+\s*/\s*\d+|\d+)")
+_NUMBER = re.compile(_BLANKS.pattern + r"([0-9]+\.[0-9]+|[0-9]+[ \t\r\n]*/[ \t\r\n]*[0-9]+|[0-9]+)")
 _SYMBOL = re.compile(_BLANKS.pattern + r"(<-|->|[@:;,.~!&|()*])")
-_DIGITS = re.compile(r"\d+")
+_DIGITS = re.compile(r"[0-9]+")
 
 #: Longest digit run a probability numeral may have. Numerals are
 #: converted exactly through ``Decimal``, which Python's int
@@ -205,17 +206,17 @@ class TheoryDocument(Record):
 def _statements(text: str) -> Iterator[_Scanner]:
     """A scanner over each statement line of a theory or story file.
 
-    Comments are stripped and blank lines skipped. Once the caller has
-    parsed a statement and asks for the next one, anything left on the
-    line raises "unexpected input after '.'". The scanners share one
-    name -> atom map and one numeral -> value map, which live as long as
-    the parse.
+    Lines end at LF, CR or CRLF only. Comments are stripped and lines
+    of blanks alone skipped. Once the caller has parsed a statement and
+    asks for the next one, anything left on the line raises "unexpected
+    input after '.'". The scanners share one name -> atom map and one
+    numeral -> value map, which live as long as the parse.
     """
     names: dict = {}
     numerals: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         content = raw.split("%", 1)[0]
-        if not content.strip():
+        if not content.strip(" \t"):  # CR and LF ended the line
             continue
         sc = _Scanner(content, line_no, names, numerals)
         yield sc

@@ -1007,9 +1007,9 @@ class TestChildrenAndTables:
         during = []
         fold = engine._fold
 
-        def counting(tree, root_mass, shares):
+        def counting(*args):
             during.append(_tree_edges())
-            return fold(tree, root_mass, shares)
+            return fold(*args)
 
         monkeypatch.setattr(engine, "_fold", counting)
         assert prob_formula(theory, ctx, FormulaAtom(Atom("shatters"))) == Fraction(15, 16)
@@ -1100,6 +1100,114 @@ class TestBenchWidths:
         theory = _chain(2000, ":9/10")
         value = prob_formula(theory, interp("a0"), FormulaAtom(Atom("a2000")))
         assert type(value) is Fraction and value == Fraction(9, 10) ** 2000
+
+
+def _random_formula(rng, atoms, depth=3):
+    """A formula over ``atoms`` of every shape: an atom, ``!``, ``&`` and
+    ``|``, nested up to ``depth`` deep."""
+    shape = rng.choice(("atom", "not", "and", "or")) if depth else "atom"
+    if shape == "atom":
+        return FormulaAtom(rng.choice(atoms))
+    if shape == "not":
+        return Negation(_random_formula(rng, atoms, depth - 1))
+    parts = tuple(_random_formula(rng, atoms, depth - 1) for _ in range(rng.randint(2, 3)))
+    return (Conjunction if shape == "and" else Disjunction)(parts)
+
+
+class TestProjectedFold:
+    """``prob_formula`` folds its tree with each level keyed by the fired
+    laws and the atoms that the formula or a law body reads; the full
+    tree, walked path by path, is the oracle."""
+
+    #: In no theory's vocabulary: queried through a widened vocabulary.
+    OUTSIDE = Atom("outside")
+
+    def _assert_per_path(self, monkeypatch, theory, context, rng):
+        atoms = sorted(theory.vocabulary) + [self.OUTSIDE]
+        heads = {alt.atom for law in theory.laws for alt in law.head}
+        assert set(atoms) - heads  # atoms outside any head
+        formulas = [FormulaAtom(atom) for atom in atoms] + [Negation(FormulaAtom(rng.choice(atoms)))]
+        formulas += [_random_formula(rng, atoms) for _ in range(6)]
+        vocabulary = theory.vocabulary | {self.OUTSIDE}
+        labels = [law.label for law in theory.laws]
+        for policy in (None, labels[::-1]):
+            tree = build_tree(theory, context, policy=policy)
+            # prob_formula folds the tree of the module's build_tree binding.
+            monkeypatch.setattr(engine, "build_tree", lambda *args: tree)
+            by_interp: dict = {}
+            for leaf, mass in tree.leaves_with_mass():
+                by_interp[leaf.state.interp] = by_interp.get(leaf.state.interp, 0) + mass
+            for formula in formulas:
+                want = sum((mass for final, mass in by_interp.items() if eval_formula(formula, final)), Fraction(0))
+                got = prob_formula(theory, context, formula, vocabulary=vocabulary)
+                assert type(got) is Fraction and got == want, (formula, policy)
+
+    def test_prob_formula_is_the_per_path_sum_on_random_theories(self, monkeypatch):
+        import random
+
+        from randgen import random_cases
+
+        rng = random.Random(97)
+        for theory, context in random_cases(300):
+            self._assert_per_path(monkeypatch, theory, context, rng)
+
+    def test_prob_formula_is_the_per_path_sum_on_structured_theories(self, monkeypatch):
+        """16 ``structured_theory`` draws whose trees have at most 5,000
+        nodes path by path under both orders (larger draws are redrawn)."""
+        import random
+
+        from randgen import structured_theory
+
+        rng = random.Random(4093)
+        checked = 0
+        while checked < 16:
+            theory, context = structured_theory(rng)
+            labels = [law.label for law in theory.laws]
+            if max(_path_nodes(build_tree(theory, context, policy=policy)) for policy in (None, labels[::-1])) > 5_000:
+                continue
+            checked += 1
+            self._assert_per_path(monkeypatch, theory, context, rng)
+
+    def test_idle_coins_are_merged_and_not_expanded(self, monkeypatch):
+        """4 thrown throwers, then coins c0 … c7, in file order. The fold
+        keeps shatters, c1 and the throwers: levels 0–4 hold 1 + 2·4 keys,
+        c0's level 2, the levels of c1 … c6 4 each, and c7's level only
+        leaves, so it expands 35 of the tree's 517 distinct internal nodes."""
+        throwers = [f"t{i}" for i in range(1, 5)]
+        text = f"exogenous {', '.join(throwers)}.\n" + "".join(f"shatters:1/2 <- {t}.\n" for t in throwers)
+        text += "".join(f"c{i}:1/2.\n" for i in range(8))
+        theory, context = load_theory(text), interp(" ".join(throwers))
+        trees, expanded = [], []
+        build = engine.build_tree
+
+        def building(*args):
+            trees.append(build(*args))
+            return trees[-1]
+
+        def counted(shares):
+            def sharing(node, mass):
+                expanded.append(id(node))
+                return shares(node, mass)
+            return sharing
+
+        monkeypatch.setattr(engine, "build_tree", building)
+        monkeypatch.setattr(engine, "_weight_shares", counted(engine._weight_shares))
+        monkeypatch.setattr(engine, "_probability_shares", counted(engine._probability_shares))
+        assert prob_formula(theory, context, parse_formula("shatters & c1")) == Fraction(15, 32)
+        (tree,) = trees
+        assert len(expanded) == len(set(expanded)) == 35
+        assert _path_nodes(tree) == 2 ** 13 - 1 == 8191
+        distinct = {id(node): node for node in tree.nodes()}
+        assert len(distinct) == 1029
+        # distribution_bits keeps every atom: it expands each distinct internal node once.
+        expanded.clear()
+        folded = engine.distribution_bits(tree)
+        assert sorted(expanded) == sorted(key for key, node in distinct.items() if node.children)
+        assert len(expanded) == 517
+        by_bits: dict = {}
+        for leaf, mass in tree.leaves_with_mass():
+            by_bits[leaf.state.interp_bits] = by_bits.get(leaf.state.interp_bits, 0) + mass
+        assert folded == by_bits
 
 
 def _sorted_text(members):

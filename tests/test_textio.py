@@ -349,11 +349,44 @@ class TestErrorColumns:
         (parse_context, "a\x0b", "unexpected trailing input", 2),
         (parse_literal, "~\x0ba", "expected atom", 2),
         (parse_literal, "a\x0c", "unexpected trailing input", 2),
+        # In a numeral, and as a file line: only LF, CR and CRLF end one.
+        (parse_theory, "a:1\xa0/\u20032.\n", "expected '.'", 4),
+        (parse_theory, "\xa0\n a.\n", "expected atom", 1),
+        *[(parse_theory, f"a.{end}b.\n", "unexpected input after '.'", 3)
+          for end in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")],
+        (_story, "context.\x0cr1 -> shatters.\n", "unexpected input after '.'", 9),
     ])
     def test_other_whitespace_is_an_error_at_its_own_column(self, parse, text, message, column):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"{message} (line 1, column {column})"
+
+
+class TestAsciiNumeralsAndLines:
+    """Numerals are ASCII digits with blanks around a ``/``; file lines end
+    at LF, CR or CRLF."""
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("a:\u0663/\u0664.\n", "expected a probability (decimal, num/den, or *)", 3),
+        ("a:1/\u0664.\n", "expected '.'", 4),
+        ("a:0.\u0665.\n", "unexpected input after '.'", 5),
+    ], ids=["numerator", "denominator", "decimal"])
+    def test_other_digits_are_an_error_at_their_column(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert str(err.value) == f"{message} (line 1, column {column})"
+
+    def test_ascii_numerals_keep_their_blanks(self):
+        assert load_theory("a: 1 / 2 .").laws[0].head[0].prob == Fraction(1, 2)
+        assert load_theory("a:1\t/\t3.\n").laws[0].head[0].prob == Fraction(1, 3)
+
+    @pytest.mark.parametrize("text, lines", [
+        ("a.\rb.\n", (1, 2)), ("a.\r\nb.\n", (1, 2)), ("a.\nb.", (1, 2)), ("a.\r\n \t\rb.\n", (1, 3)),
+    ])
+    def test_lf_cr_and_crlf_end_lines(self, text, lines):
+        assert parse_theory(text).law_lines == lines
+        assert len(parse_story(text.replace("a.", "context.", 1).replace("b.", "r1 -> shatters."),
+                               corpus.theory("suzy_billy")).steps) == 1
 
 
 class TestSerialization:
